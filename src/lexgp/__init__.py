@@ -2,11 +2,11 @@
 selection, tournament/random/age-fitness-Pareto baselines, and a benchmark
 harness."""
 
-from .afp import AfpCandidate, AfpHooks, afp_generation, environmental_select, spea2_fitness
+from .afp import AfpCandidate, afp_generation, environmental_select
 from .data import (Dataset, LoadError, SplitDataset, generate_uball5d, load_csv,
                    save_csv, split_normalize, uball5d)
 from .engine import EngineConfig, GenerationRecord, RunLog, diversity, mae, run_trial
-from .expr import (DEFAULT_OPERATORS, Operator, OperatorSet, Program, evaluate,
+from .expr import (DEFAULT_OPERATORS, Operator, OperatorSet, Program,
                    hill_climb_constants, point_mutation, predict, random_program,
                    subtree_crossover, subtree_span)
 from .selection import (ErrorMatrix, Method, PassMatrix, SelectionConfig,
@@ -17,11 +17,11 @@ from .selection import (ErrorMatrix, Method, PassMatrix, SelectionConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AfpCandidate", "AfpHooks", "afp_generation", "environmental_select", "spea2_fitness",
+    "AfpCandidate", "afp_generation", "environmental_select",
     "Dataset", "LoadError", "SplitDataset", "generate_uball5d", "load_csv",
     "save_csv", "split_normalize", "uball5d",
     "EngineConfig", "GenerationRecord", "RunLog", "diversity", "mae", "run_trial",
-    "DEFAULT_OPERATORS", "Operator", "OperatorSet", "Program", "evaluate",
+    "DEFAULT_OPERATORS", "Operator", "OperatorSet", "Program",
     "hill_climb_constants", "point_mutation", "predict", "random_program",
     "subtree_crossover", "subtree_span",
     "ErrorMatrix", "Method", "PassMatrix", "SelectionConfig", "SelectionEvent",

@@ -1,15 +1,15 @@
 """Age-fitness Pareto survival with SPEA2-style environmental selection.
 
-Each generation breeds a full population of children from randomly chosen
-parents, injects one fresh random individual as a restart mechanism, and
-then selects survivors from parents + children + injected by Pareto rank
-over the (age, training MAE) objectives, both minimized.
+Each generation the engine breeds a full population of children from
+randomly chosen parents and injects one fresh random individual as a restart
+mechanism; this module then selects survivors from parents + children +
+injected by Pareto rank over the (age, training MAE) objectives, both
+minimized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -18,36 +18,12 @@ from .expr import Program
 
 @dataclass
 class AfpCandidate:
-    """One member of the survival pool with its Pareto scoring.
-
-    strength  = how many candidates this one dominates
-    raw       = summed strength of everything dominating it (0 iff nondominated)
-    density   = 1 / (distance to k-th nearest neighbor + 2), in (0, 1)
-    total     = raw + density; < 1 exactly for nondominated candidates
-    """
+    """One member of the survival pool and its two objectives, both
+    minimized: age and training MAE ``f``."""
 
     program: Program | None
     age: int
     f: float
-    strength: float = 0.0
-    raw: float = 0.0
-    density: float = 0.0
-    total: float = 0.0
-
-
-@dataclass
-class AfpHooks:
-    """Engine capabilities the survival step needs.
-
-    breed(parents, count, rng)  -> list of count children, fully varied and
-                                   constant-tuned, bred from random parents
-    fresh(rng)                  -> one new random age-0 program
-    train_mae(programs)         -> aggregate training error per program
-    """
-
-    breed: Callable
-    fresh: Callable
-    train_mae: Callable
 
 
 def dominates(a, b) -> bool:
@@ -87,21 +63,16 @@ def strength_raw(points) -> tuple[np.ndarray, np.ndarray]:
     return strength, raw
 
 
-def spea2_fitness(points) -> np.ndarray:
-    """Total fitness raw + density over (age, error) points, minimized."""
-    points = np.asarray(points, dtype=float)
-    _, raw, density = _scores(points)
-    return raw + density
-
-
-def _scores(points: np.ndarray):
-    strength, raw = strength_raw(points)
+def _scores(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SPEA2 raw fitness (0 iff nondominated) and k-NN density in (0, 1);
+    raw + density < 1 exactly for nondominated points."""
+    _, raw = strength_raw(points)
     n = points.shape[0]
     k = min(int(np.sqrt(n)), n - 1) if n > 1 else 0
     dist = _distance_matrix(points)
     sigma_k = np.sort(dist, axis=1)[:, k]
     density = 1.0 / (sigma_k + 2.0)
-    return strength, raw, density
+    return raw, density
 
 
 def _truncate(indices: list[int], dist: np.ndarray, capacity: int) -> list[int]:
@@ -128,13 +99,10 @@ def environmental_select(candidates: list[AfpCandidate], capacity: int) -> list[
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
     if len(candidates) <= capacity:
-        _annotate(candidates)
         return list(candidates)
     points = np.asarray([(c.age, c.f) for c in candidates], dtype=float)
-    strength, raw, density = _scores(points)
+    raw, density = _scores(points)
     total = raw + density
-    for c, s, r, d, t in zip(candidates, strength, raw, density, total):
-        c.strength, c.raw, c.density, c.total = float(s), float(r), float(d), float(t)
 
     nondominated = [i for i in range(len(candidates)) if raw[i] == 0.0]
     if len(nondominated) > capacity:
@@ -147,30 +115,17 @@ def environmental_select(candidates: list[AfpCandidate], capacity: int) -> list[
     return [candidates[i] for i in sorted(chosen)]
 
 
-def _annotate(candidates: list[AfpCandidate]) -> None:
-    if not candidates:
-        return
-    points = np.asarray([(c.age, c.f) for c in candidates], dtype=float)
-    strength, raw, density = _scores(points)
-    for c, s, r, d in zip(candidates, strength, raw, density):
-        c.strength, c.raw, c.density, c.total = float(s), float(r), float(d), float(r + d)
+def afp_generation(pool: list[Program], maes, capacity: int) -> list[int]:
+    """Survival over one generation's pool of programs scored by training MAE.
 
-
-def afp_generation(population: list[Program], hooks: AfpHooks, rng) -> list[Program]:
-    """One survival-based generation.
-
-    The pool entering environmental selection holds the parents, |P| bred
-    children, and one injected random individual (2|P| + 1 candidates).
-    Survivor ages advance by one generation.
+    The engine's pool holds the parents, |P| bred children and one injected
+    random program (2|P| + 1 candidates). Returns the ascending pool indices
+    of the ``capacity`` survivors and advances the age of each distinct
+    surviving program by one generation.
     """
-    size = len(population)
-    children = hooks.breed(population, size, rng)
-    injected = hooks.fresh(rng)
-    pool = list(population) + list(children) + [injected]
-    maes = np.asarray(hooks.train_mae(pool), dtype=float)
-    candidates = [AfpCandidate(p, p.age, float(m)) for p, m in zip(pool, maes)]
-    survivors = environmental_select(candidates, size)
-    out = [c.program for c in survivors]
-    for program in {id(p): p for p in out}.values():
+    candidates = [AfpCandidate(p, p.age, float(m)) for p, m in zip(pool, maes, strict=True)]
+    position = {id(c): i for i, c in enumerate(candidates)}
+    keep = [position[id(c)] for c in environmental_select(candidates, capacity)]
+    for program in {id(pool[i]): pool[i] for i in keep}.values():
         program.age += 1
-    return out
+    return keep

@@ -8,7 +8,7 @@ import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,9 @@ class ExperimentConfig:
         if self.data is None and self.problem != "uball5d":
             raise ValueError(f"unknown problem {self.problem!r}; "
                              "built-in problems: uball5d")
+        # Engine settings fail here, before any output exists, not mid-run.
+        for method in self.methods:
+            _engine_config(self, method, 0)
 
     @property
     def problem_name(self) -> str:
@@ -229,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 _FIELD_TYPES = {"trials": int, "seed": int, "population": int, "generations": int,
                 "eps_e": float, "eps_y": float, "split": float, "jobs": int}
 _FILE_KEYS = {"pop": "population", "gens": "generations"}
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def parse_config(argv=None) -> ExperimentConfig:
@@ -237,6 +241,8 @@ def parse_config(argv=None) -> ExperimentConfig:
     if args.config:
         for key, raw in _read_config_file(args.config).items():
             key = _FILE_KEYS.get(key, key).replace("-", "_")
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{args.config}: unknown config key {key!r}")
             if key == "methods":
                 values[key] = [m.strip() for m in raw.split(",") if m.strip()]
             else:

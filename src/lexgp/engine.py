@@ -42,6 +42,10 @@ class EngineConfig:
             raise ValueError(f"bad size limits [{self.min_size}, {self.max_size}]")
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
+        if (self.selection.method is Method.TOURNAMENT
+                and self.selection.tournament_size > self.population_size):
+            raise ValueError(f"tournament size {self.selection.tournament_size} exceeds "
+                             f"population size {self.population_size}")
 
     @property
     def size_limits(self) -> tuple[int, int]:
@@ -103,16 +107,24 @@ def _predict_population(population, X) -> np.ndarray:
     return out
 
 
+def _row_maes(outputs, y) -> np.ndarray:
+    return np.abs(outputs - y[None, :]).mean(axis=1)
+
+
 def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
     """Evolve one population on the training split and score the winner on
     the test split.
 
-    Each generation: evaluate the population, build the error matrix (plus
-    the pass matrix for epsilon methods), breed a full population of
-    children through the configured selection method and variation mix,
-    hill-climb their constants, then reinstate the previous best if every
-    child is worse. The AFP method instead breeds from random parents and
-    survives the combined pool through Pareto environmental selection.
+    Each generation: build the error matrix (plus the pass matrix for
+    epsilon methods), breed a full population of children through the
+    configured selection method and variation mix, hill-climb their
+    constants, then reinstate the previous best if every child is worse.
+    The AFP method instead breeds from random parents, injects one random
+    program, and survives the combined pool through Pareto environmental
+    selection.
+
+    Every program is evaluated once, when it is created: the training
+    outputs travel with the population, row i belonging to program i.
     """
     start = time.perf_counter()
     X_train, y_train = split.train.X, split.train.y
@@ -123,14 +135,13 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
     limits = config.size_limits
 
     population = [random_program(limits, ops, rng) for _ in range(pop_size)]
+    outputs = _predict_population(population, X_train)
 
-    def train_maes(programs):
-        return np.abs(_predict_population(programs, X_train) - y_train[None, :]).mean(axis=1)
-
-    def breed(parents, count, rng, pick):
-        """count children via the crossover/mutation mix, constants tuned."""
+    def breed(parents, pick):
+        """A full population of children via the crossover/mutation mix,
+        constants tuned."""
         children = []
-        n_cross, n_mut = variation_slots(count, config.crossover_fraction)
+        n_cross, n_mut = variation_slots(pop_size, config.crossover_fraction)
         for _ in range(n_cross):
             a = parents[pick()]
             b = parents[pick()]
@@ -143,7 +154,6 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
     records: list[GenerationRecord] = []
     for gen in range(config.generations):
         gen_start = time.perf_counter()
-        outputs = _predict_population(population, X_train)
         errors = build_error_matrix(outputs, y_train)
         best_idx = int(np.argmin(errors.aggregate))
         best_mae = float(errors.aggregate[best_idx])
@@ -154,17 +164,25 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
 
         if method is Method.AFP:
             def pick():
-                ev = random_select(len(population), rng)
+                ev = random_select(pop_size, rng)
                 events.append(ev)
                 return ev.index
 
-            hooks = afp_mod.AfpHooks(
-                breed=lambda parents, count, hooks_rng: breed(parents, count, hooks_rng, pick),
-                fresh=lambda hooks_rng: random_program(limits, ops, hooks_rng),
-                train_mae=train_maes,
-            )
-            next_population = afp_mod.afp_generation(population, hooks, rng)
-            aged_elite = True
+            children = breed(population, pick)
+            children.append(random_program(limits, ops, rng))
+            child_outputs = _predict_population(children, X_train)
+            pool = population + children
+            pool_maes = np.concatenate([errors.aggregate, _row_maes(child_outputs, y_train)])
+            # Survival builds (2P+1)^2 arrays; the error matrix is not needed
+            # past this point, so free it first.
+            del errors
+            keep = np.asarray(afp_mod.afp_generation(pool, pool_maes, pop_size))
+            next_population = [pool[i] for i in keep]
+            maes = pool_maes[keep]
+            from_parent = keep < pop_size
+            next_outputs = np.empty_like(outputs)
+            next_outputs[from_parent] = outputs[keep[from_parent]]
+            next_outputs[~from_parent] = child_outputs[keep[~from_parent] - pop_size]
         else:
             passes = (build_pass_matrix(errors, config.selection)
                       if method in LEXICASE_METHODS and method is not Method.LEX else None)
@@ -192,25 +210,25 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
             else:
                 raise ValueError(f"unsupported method {method}")
 
-            next_population = breed(population, pop_size, rng, pick)
-            aged_elite = False
+            next_population = breed(population, pick)
+            next_outputs = _predict_population(next_population, X_train)
+            maes = _row_maes(next_outputs, y_train)
 
-        if config.elitism:
-            maes = train_maes(next_population)
-            if float(maes.min()) > best_mae:
-                worst = int(np.argmax(maes))
-                if aged_elite:
-                    elite.age += 1
-                next_population[worst] = elite
+        if config.elitism and float(maes.min()) > best_mae:
+            worst = int(np.argmax(maes))
+            if method is Method.AFP:
+                elite.age += 1
+            next_population[worst] = elite
+            next_outputs[worst] = outputs[best_idx]
 
         if len(next_population) != pop_size:
             raise RuntimeError(f"population size drifted to {len(next_population)}")
         median_cases = float(np.median([ev.cases_examined for ev in events])) if events else 0.0
         records.append(GenerationRecord(gen, best_mae, unique_fraction, median_cases,
                                         time.perf_counter() - gen_start))
-        population = next_population
+        population, outputs = next_population, next_outputs
 
-    final_maes = train_maes(population)
+    final_maes = _row_maes(outputs, y_train)
     best_idx = int(np.argmin(final_maes))
     best = population[best_idx]
     test_error = mae(predict(best, split.test.X), split.test.y)

@@ -117,9 +117,6 @@ class Program:
     def size(self) -> int:
         return len(self.nodes)
 
-    def copy(self) -> "Program":
-        return Program(list(self.nodes), self.age)
-
     def constants(self) -> list[int]:
         """Positions of constant nodes."""
         return [i for i, node in enumerate(self.nodes) if isinstance(node, float)]
@@ -186,11 +183,6 @@ def predict(program: Program, X) -> np.ndarray:
     if not np.isfinite(out).all():
         out = np.nan_to_num(out, nan=0.0, posinf=VALUE_LIMIT, neginf=-VALUE_LIMIT)
     return out
-
-
-def evaluate(program: Program, row) -> float:
-    """Evaluate a program on a single feature row."""
-    return float(predict(program, np.asarray(row, dtype=float)[None, :])[0])
 
 
 def _grow(depth, ops: OperatorSet, rng, out: list, at_root=True):

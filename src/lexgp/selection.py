@@ -68,12 +68,16 @@ class SelectionConfig:
             raise ValueError("tournament size must be >= 1")
 
 
-def mad(values) -> float:
-    """Median absolute deviation: median_j |v_j - median_k(v_k)|."""
+def mad(values, axis=None):
+    """Median absolute deviation: median_j |v_j - median_k(v_k)|.
+
+    Over all values (a float) by default, or along ``axis`` (an array).
+    """
     v = np.asarray(values, dtype=float)
     if v.size < 1:
         raise ValueError("mad of empty vector")
-    return float(np.median(np.abs(v - np.median(v))))
+    spread = np.median(np.abs(v - np.median(v, axis=axis, keepdims=True)), axis=axis)
+    return float(spread) if axis is None else spread
 
 
 def _pack_columns(matrix: np.ndarray) -> list[int]:
@@ -99,7 +103,6 @@ class ErrorMatrix:
 
     errors: np.ndarray       # |P| x N, entries |y_t - yhat_t(i)|
     case_elite: np.ndarray   # length N column minima
-    case_mad: np.ndarray     # length N column MADs
     aggregate: np.ndarray    # length |P| row means
 
     @property
@@ -109,6 +112,12 @@ class ErrorMatrix:
     @property
     def n_cases(self) -> int:
         return self.errors.shape[1]
+
+    @cached_property
+    def case_mad(self) -> np.ndarray:
+        """Length N column MADs, computed on first use: only the MAD-based
+        epsilon methods read them."""
+        return mad(self.errors, axis=0)
 
     @cached_property
     def _elite_masks(self) -> list[int]:
@@ -128,10 +137,8 @@ def build_error_matrix(outputs, targets) -> ErrorMatrix:
     big = np.finfo(float).max
     with np.errstate(over="ignore", invalid="ignore"):
         errors = np.nan_to_num(np.abs(outputs - targets[None, :]), nan=big, posinf=big)
-        med = np.median(errors, axis=0)
-        case_mad = np.median(np.abs(errors - med[None, :]), axis=0)
         aggregate = np.nan_to_num(errors.mean(axis=1), nan=big, posinf=big)
-    return ErrorMatrix(errors, errors.min(axis=0), case_mad, aggregate)
+    return ErrorMatrix(errors, errors.min(axis=0), aggregate)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lexgp.afp import (AfpCandidate, AfpHooks, afp_generation, dominates,
-                       environmental_select, spea2_fitness, strength_raw)
+from lexgp import afp
+from lexgp.afp import (AfpCandidate, afp_generation, dominates,
+                       environmental_select, strength_raw)
 from lexgp.expr import Program
 
 
@@ -48,7 +49,8 @@ def test_spea2_total_below_one_iff_nondominated():
         n = int(rng.integers(1, 25))
         points = np.column_stack([rng.integers(0, 6, n).astype(float),
                                   rng.uniform(size=n).round(2)])
-        total = spea2_fitness(points)
+        raw, density = afp._scores(points)
+        total = raw + density
         nondominated = brute_force_nondominated([tuple(p) for p in points])
         for i in range(n):
             assert (total[i] < 1.0) == (i in nondominated)
@@ -90,7 +92,8 @@ def test_environmental_select_capacity_exact_and_pareto_consistent():
         group = candidates(points)
         chosen = environmental_select(group, cap)
         assert len(chosen) == cap
-        assert all(0.0 < c.density < 1.0 for c in group)
+        _, density = afp._scores(np.asarray(points, dtype=float))
+        assert ((0.0 < density) & (density < 1.0)).all()
         nondominated = brute_force_nondominated(points)
         chosen_ids = {id(c) for c in chosen}
         kept_flags = [id(c) in chosen_ids for c in group]
@@ -103,57 +106,39 @@ def make_program(age):
     return Program([0], age=age)
 
 
-def test_afp_generation_pool_size_and_aging():
-    population = [make_program(3), make_program(5)]
+def test_afp_generation_pool_size_and_aging(monkeypatch):
+    # 2 parents + 2 children + 1 injected, scored by age so survivors are
+    # predictable
+    pool = [make_program(3), make_program(5), make_program(5), make_program(5),
+            make_program(0)]
     seen_pools = []
+    real_select = afp.environmental_select
 
-    def breed(parents, count, rng):
-        assert count == len(parents) == 2
-        return [make_program(max(p.age for p in parents)) for _ in range(count)]
+    def recording_select(candidates, capacity):
+        seen_pools.append(len(candidates))
+        return real_select(candidates, capacity)
 
-    def fresh(rng):
-        return make_program(0)
+    monkeypatch.setattr(afp, "environmental_select", recording_select)
+    keep = afp_generation(pool, [float(p.age) for p in pool], 2)
+    assert seen_pools == [5]
+    assert len(keep) == 2
+    assert keep == sorted(set(keep)) and all(0 <= i < 5 for i in keep)
+    assert all(pool[i].age >= 1 for i in keep)
 
-    def train_mae(programs):
-        seen_pools.append(len(programs))
-        # order the pool by age so survivors are predictable
-        return np.array([float(p.age) for p in programs])
 
-    hooks = AfpHooks(breed=breed, fresh=fresh, train_mae=train_mae)
-    survivors = afp_generation(population, hooks, np.random.default_rng(2))
-    assert seen_pools == [5]  # 2 parents + 2 children + 1 injected
-    assert len(survivors) == 2
-    assert all(p.age >= 1 for p in survivors)
+def test_afp_generation_ages_a_repeated_survivor_once():
+    program = make_program(1)
+    keep = afp_generation([program, program], [0.5, 0.5], 2)
+    assert keep == [0, 1]
+    assert program.age == 2
 
 
 def test_afp_generation_single_slot_keeps_sole_nondominated():
-    parent = make_program(5)
-
-    def breed(parents, count, rng):
-        return [make_program(5) for _ in range(count)]
-
-    def fresh(rng):
-        return make_program(0)
-
-    def train_mae(programs):
-        # parent 0.5, child 0.9, injected 0.3: the injected one dominates all
-        values = {5: 0.5, 0: 0.3}
-        out = []
-        seen_child = False
-        for p in programs:
-            if p.age == 5 and seen_child:
-                out.append(0.9)
-            elif p.age == 5:
-                out.append(0.5)
-                seen_child = True
-            else:
-                out.append(values[0])
-        return np.array(out)
-
-    hooks = AfpHooks(breed=breed, fresh=fresh, train_mae=train_mae)
-    survivors = afp_generation([parent], hooks, np.random.default_rng(3))
-    assert len(survivors) == 1
-    assert survivors[0].age == 1  # injected at age 0, aged by survival
+    # parent 0.5, child 0.9, injected 0.3: the injected one dominates all
+    pool = [make_program(5), make_program(5), make_program(0)]
+    keep = afp_generation(pool, [0.5, 0.9, 0.3], 1)
+    assert keep == [2]
+    assert pool[2].age == 1  # injected at age 0, aged by survival
 
 
 def test_environmental_select_rejects_empty_capacity():

@@ -135,6 +135,24 @@ def test_main_rejects_unknown_problem(capsys):
     assert "unknown problem" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    ["--config", "{cfg}"],
+    ["--pop", "0"],
+    ["--gens", "-1"],
+    ["--pop", "1", "--methods", "tourn"],
+], ids=["unknown_config_key", "zero_population", "negative_generations",
+        "tournament_above_population"])
+def test_main_rejects_bad_settings_before_any_output(bad, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("bogus = 1\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = main([arg.format(cfg=cfg) for arg in bad] + ["--trials", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_main_rejects_missing_data_file(tmp_path, capsys):
     code = main(["--data", str(tmp_path / "absent.csv"), "--trials", "1",
                  "--pop", "8", "--gens", "1", "--out", str(tmp_path / "o")])

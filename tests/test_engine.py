@@ -1,17 +1,63 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from lexgp import afp, engine
 from lexgp.data import generate_uball5d
 from lexgp.engine import (EngineConfig, diversity, mae, run_trial,
                           variation_slots)
+from lexgp.expr import Operator
 from lexgp.selection import Method, SelectionConfig
 
 ALL_METHODS = list(Method)
+
+# RunLog.without_timing() digests at population 14, 6 generations, seed 29
+# on check 09's data (see log_digest). Any change to the RNG stream or to
+# what the engine computes moves them.
+GOLDEN_DIGESTS = {
+    "lex": "caee6e5800c8ce17e13646a4bc29366d8c1e09882dfafac93351a7c1c6b53964",
+    "lex_eps_e": "7eb5b8789fefb239ca34eecbf4cc765d5c8865c087736f285101f6c4a286c51e",
+    "lex_eps_y": "ae7183edfddd4a2a1e4accfe19aba52437ba5b276181eea373c1889c14c443be",
+    "lex_eps_e_mad": "c19465309ac73fe6a56682b7adb5605e8abc584f78de5f9c2156c4bc0d6210e5",
+    "lex_eps_y_mad": "4f7623381a362b96ec4d8ab5ab6f3e4701b27248409a7c323a48b4bf9dce2f9e",
+    "tourn": "6ef0aec61bc58c97e7e005f31fa4b161e26f7d2214a51556566c4debe59647ea",
+    "rand": "142f1cc114cee3e9375666a890593cbbbf50ac15c99563e105f38ae5d6610eca",
+    "afp": "8796cc5193ecb6e852d015e5607d981dbf5056d8608e6259535d8b161feadfbb",
+}
+GOLDEN_POP, GOLDEN_GENS = 14, 6
 
 
 @pytest.fixture(scope="module")
 def small_split():
     return generate_uball5d(48, 24, np.random.default_rng(1000))
+
+
+@pytest.fixture(scope="module")
+def golden_split():
+    return generate_uball5d(60, 30, np.random.default_rng(23))
+
+
+def golden_trial(method, split):
+    config = EngineConfig(population_size=GOLDEN_POP, generations=GOLDEN_GENS,
+                          selection=SelectionConfig(method=method))
+    return run_trial(config, split, np.random.default_rng(29))
+
+
+def log_digest(log):
+    """SHA-256 over every non-timing field of a RunLog, floats as hex."""
+    def token(node):
+        if isinstance(node, Operator):
+            return node.name
+        return node.hex() if isinstance(node, float) else node
+
+    plain = log.without_timing()
+    payload = repr(([(r.generation, r.best_train_mae.hex(), r.diversity.hex(),
+                      r.median_cases_used.hex()) for r in plain.records],
+                    [token(n) for n in plain.best_program.nodes],
+                    plain.best_program.age, plain.best_train_mae.hex(),
+                    plain.test_mae.hex()))
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def small_config(method, **overrides):
@@ -121,6 +167,8 @@ def test_engine_config_validation():
         EngineConfig(crossover_fraction=1.5)
     with pytest.raises(ValueError):
         EngineConfig(min_size=10, max_size=5)
+    with pytest.raises(ValueError):
+        EngineConfig(population_size=1, selection=SelectionConfig(method=Method.TOURNAMENT))
 
 
 def test_runlog_without_timing_zeroes_clocks(small_split):
@@ -131,3 +179,30 @@ def test_runlog_without_timing_zeroes_clocks(small_split):
     # non-timing payload is untouched
     assert [r.best_train_mae for r in stripped.records] == \
            [r.best_train_mae for r in log.records]
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_run_trial_matches_golden_digest(method, golden_split):
+    assert log_digest(golden_trial(method, golden_split)) == GOLDEN_DIGESTS[method.value]
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_run_trial_evaluates_each_program_once(method, golden_split, monkeypatch):
+    # The initial population and each generation's new programs are
+    # evaluated once; the final predict scores the winner on the test split.
+    # Hill climbing's own calls go through lexgp.expr.predict, not counted.
+    calls = []
+    real_predict = engine.predict
+    monkeypatch.setattr(engine, "predict", lambda p, X: calls.append(1) or real_predict(p, X))
+    pools = []
+    real_select = afp.environmental_select
+    monkeypatch.setattr(afp, "environmental_select",
+                        lambda c, capacity: pools.append(len(c)) or real_select(c, capacity))
+    golden_trial(method, golden_split)
+    P, G = GOLDEN_POP, GOLDEN_GENS
+    if method is Method.AFP:
+        assert len(calls) == P + G * (P + 1) + 1
+        assert pools == [2 * P + 1] * G
+    else:
+        assert len(calls) == P + G * P + 1
+        assert pools == []

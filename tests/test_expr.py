@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from lexgp.expr import (DEFAULT_OPERATORS, OperatorSet, Program, evaluate,
+from lexgp.expr import (DEFAULT_OPERATORS, OperatorSet, Program,
                         hill_climb_constants, point_mutation, predict,
                         random_program, subtree_crossover, subtree_span)
 
 ADD, SUB, MUL, DIV, SIN, COS, EXP, LOG = DEFAULT_OPERATORS
+
+
+def evaluate(program, row):
+    """A program's output on a single feature row: predict on a one-row matrix."""
+    return float(predict(program, np.asarray(row, dtype=float)[None, :])[0])
 
 
 def test_evaluate_basic_arithmetic():
