@@ -2,7 +2,7 @@
 selection, tournament/random/age-fitness-Pareto baselines, and a benchmark
 harness."""
 
-from .afp import AfpCandidate, afp_generation, environmental_select
+from .afp import afp_generation, environmental_select
 from .data import (Dataset, LoadError, SplitDataset, generate_uball5d, load_csv,
                    save_csv, split_normalize, uball5d)
 from .engine import EngineConfig, GenerationRecord, RunLog, diversity, mae, run_trial
@@ -17,7 +17,7 @@ from .selection import (ErrorMatrix, Method, PassMatrix, SelectionConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AfpCandidate", "afp_generation", "environmental_select",
+    "afp_generation", "environmental_select",
     "Dataset", "LoadError", "SplitDataset", "generate_uball5d", "load_csv",
     "save_csv", "split_normalize", "uball5d",
     "EngineConfig", "GenerationRecord", "RunLog", "diversity", "mae", "run_trial",

@@ -9,21 +9,9 @@ minimized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .expr import Program
-
-
-@dataclass
-class AfpCandidate:
-    """One member of the survival pool and its two objectives, both
-    minimized: age and training MAE ``f``."""
-
-    program: Program | None
-    age: int
-    f: float
 
 
 def dominates(a, b) -> bool:
@@ -93,26 +81,29 @@ def _truncate(indices: list[int], dist: np.ndarray, capacity: int) -> list[int]:
     return alive
 
 
-def environmental_select(candidates: list[AfpCandidate], capacity: int) -> list[AfpCandidate]:
-    """Keep ``capacity`` candidates: all nondominated ones (truncated by
-    crowding when too many), padded with the best-scoring dominated ones."""
+def environmental_select(points, capacity: int) -> list[int]:
+    """Ascending indices of the ``capacity`` survivors among the rows of an
+    ``(n, 2)`` array of (age, training MAE): all nondominated candidates
+    (truncated by crowding when too many), padded with the best-scoring
+    dominated ones."""
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
-    if len(candidates) <= capacity:
-        return list(candidates)
-    points = np.asarray([(c.age, c.f) for c in candidates], dtype=float)
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    if n <= capacity:
+        return list(range(n))
     raw, density = _scores(points)
     total = raw + density
 
-    nondominated = [i for i in range(len(candidates)) if raw[i] == 0.0]
+    nondominated = [i for i in range(n) if raw[i] == 0.0]
     if len(nondominated) > capacity:
         dist = _distance_matrix(points)
         chosen = _truncate(nondominated, dist, capacity)
     else:
-        dominated = [i for i in range(len(candidates)) if raw[i] > 0.0]
+        dominated = [i for i in range(n) if raw[i] > 0.0]
         dominated.sort(key=lambda i: total[i])
         chosen = nondominated + dominated[:capacity - len(nondominated)]
-    return [candidates[i] for i in sorted(chosen)]
+    return sorted(chosen)
 
 
 def afp_generation(pool: list[Program], maes, capacity: int) -> list[int]:
@@ -123,9 +114,8 @@ def afp_generation(pool: list[Program], maes, capacity: int) -> list[int]:
     of the ``capacity`` survivors and advances the age of each distinct
     surviving program by one generation.
     """
-    candidates = [AfpCandidate(p, p.age, float(m)) for p, m in zip(pool, maes, strict=True)]
-    position = {id(c): i for i, c in enumerate(candidates)}
-    keep = [position[id(c)] for c in environmental_select(candidates, capacity)]
+    points = np.column_stack([[p.age for p in pool], maes]).astype(float)
+    keep = environmental_select(points, capacity)
     for program in {id(pool[i]): pool[i] for i in keep}.values():
         program.age += 1
     return keep

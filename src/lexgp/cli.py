@@ -46,12 +46,14 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not 0.0 < self.split < 1.0:
             raise ValueError("split ratio must be in (0, 1)")
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if self.data is None and self.problem != "uball5d":
             raise ValueError(f"unknown problem {self.problem!r}; "
                              "built-in problems: uball5d")
         # Engine settings fail here, before any output exists, not mid-run.
         for method in self.methods:
-            _engine_config(self, method, 0)
+            _engine_config(self, method)
 
     @property
     def problem_name(self) -> str:
@@ -77,13 +79,11 @@ class SummaryRow:
     total_time_s: float
 
 
-def _engine_config(config: ExperimentConfig, method: Method, trial: int) -> EngineConfig:
+def _engine_config(config: ExperimentConfig, method: Method) -> EngineConfig:
     return EngineConfig(
         population_size=config.population,
         generations=config.generations,
         selection=SelectionConfig(method=method, eps_e=config.eps_e, eps_y=config.eps_y),
-        seed=config.seed + trial,
-        trials=config.trials,
     )
 
 
@@ -98,8 +98,8 @@ def _trial_split(config: ExperimentConfig, dataset: Dataset | None, trial: int):
 def _run_task(args) -> tuple[TrialResult, list[list]]:
     config, dataset, method, trial = args
     split = _trial_split(config, dataset, trial)
-    engine_config = _engine_config(config, method, trial)
-    log = run_trial(engine_config, split, np.random.default_rng(engine_config.seed))
+    log = run_trial(_engine_config(config, method), split,
+                    np.random.default_rng(config.seed + trial))
     rows = [[r.generation, r.best_train_mae, r.diversity, r.median_cases_used, r.elapsed_s]
             for r in log.records]
     result = TrialResult(method, config.problem_name, trial,
@@ -166,7 +166,7 @@ def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
 
     tasks = [(config, dataset, method, trial)
              for method in config.methods for trial in range(config.trials)]
-    jobs = config.jobs if config.jobs else (os.cpu_count() or 1)
+    jobs = config.jobs or os.cpu_count() or 1
     results = []
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -222,9 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--gens", type=int, dest="generations")
     parser.add_argument("--eps-e", type=float, dest="eps_e")
     parser.add_argument("--eps-y", type=float, dest="eps_y")
-    parser.add_argument("--split", type=float)
+    parser.add_argument("--split", type=float,
+                        help="training share of the --data CSV (default: 0.7)")
     parser.add_argument("--out", help="output directory (default: runs)")
-    parser.add_argument("--jobs", type=int, help="parallel trial workers "
+    parser.add_argument("--jobs", type=int, help="parallel trial workers, >= 1 "
                                                  "(default: available cores)")
     return parser
 
@@ -254,6 +255,9 @@ def parse_config(argv=None) -> ExperimentConfig:
             values[key] = flag
     if args.methods is not None:
         values["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
+    # The built-in problem has a fixed train/test split.
+    if "split" in values and values.get("data") is None:
+        raise ValueError("--split applies only to --data")
     return ExperimentConfig(**values)
 
 

@@ -12,44 +12,35 @@ from . import afp as afp_mod
 from .data import SplitDataset
 from .expr import (OperatorSet, Program, hill_climb_constants, point_mutation,
                    predict, random_program, subtree_crossover)
-from .selection import (LEXICASE_METHODS, Method, SelectionConfig,
+from .selection import (EPSILON_METHODS, LEXICASE_METHODS, Method, SelectionConfig,
                         build_error_matrix, build_pass_matrix, lexicase_select,
                         random_select, tournament_select)
+
+
+# The paper's fixed GP settings, shared by every selection method: 80% of
+# children by crossover and the rest by point mutation, programs of 3 to 50
+# nodes, tournaments of 2, and constant hill climbing with noise scale 0.1.
+CROSSOVER_FRACTION = 0.8
+SIZE_LIMITS = (3, 50)
+TOURNAMENT_SIZE = 2
+HILL_CLIMB_SCALE = 0.1
 
 
 @dataclass
 class EngineConfig:
     population_size: int = 1000
     generations: int = 1000
-    crossover_fraction: float = 0.8   # remaining child slots use point mutation
-    min_size: int = 3
-    max_size: int = 50
-    erc_range: tuple[float, float] = (-1.0, 1.0)
-    elitism: bool = True
     selection: SelectionConfig = field(default_factory=SelectionConfig)
-    seed: int = 0
-    trials: int = 30
-    hill_climb_scale: float = 0.1
 
     def __post_init__(self):
         if self.population_size < 1:
             raise ValueError("population size must be >= 1")
         if self.generations < 0:
             raise ValueError("generation limit must be >= 0")
-        if not 0.0 <= self.crossover_fraction <= 1.0:
-            raise ValueError("crossover fraction must be in [0, 1]")
-        if not 1 <= self.min_size <= self.max_size:
-            raise ValueError(f"bad size limits [{self.min_size}, {self.max_size}]")
-        if self.trials < 1:
-            raise ValueError("trial count must be >= 1")
         if (self.selection.method is Method.TOURNAMENT
-                and self.selection.tournament_size > self.population_size):
-            raise ValueError(f"tournament size {self.selection.tournament_size} exceeds "
+                and TOURNAMENT_SIZE > self.population_size):
+            raise ValueError(f"tournament size {TOURNAMENT_SIZE} exceeds "
                              f"population size {self.population_size}")
-
-    @property
-    def size_limits(self) -> tuple[int, int]:
-        return (self.min_size, self.max_size)
 
 
 @dataclass
@@ -131,24 +122,23 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
     n_cases = X_train.shape[0]
     pop_size = config.population_size
     method = config.selection.method
-    ops = OperatorSet(split.train.n_features, config.erc_range)
-    limits = config.size_limits
+    ops = OperatorSet(split.train.n_features)
+    n_cross, n_mut = variation_slots(pop_size, CROSSOVER_FRACTION)
 
-    population = [random_program(limits, ops, rng) for _ in range(pop_size)]
+    population = [random_program(SIZE_LIMITS, ops, rng) for _ in range(pop_size)]
     outputs = _predict_population(population, X_train)
 
     def breed(parents, pick):
         """A full population of children via the crossover/mutation mix,
         constants tuned."""
         children = []
-        n_cross, n_mut = variation_slots(pop_size, config.crossover_fraction)
         for _ in range(n_cross):
             a = parents[pick()]
             b = parents[pick()]
-            children.append(subtree_crossover(a, b, limits, rng))
+            children.append(subtree_crossover(a, b, SIZE_LIMITS, rng))
         for _ in range(n_mut):
             children.append(point_mutation(parents[pick()], ops, rng))
-        return [hill_climb_constants(c, X_train, y_train, config.hill_climb_scale, rng)
+        return [hill_climb_constants(c, X_train, y_train, HILL_CLIMB_SCALE, rng)
                 for c in children]
 
     records: list[GenerationRecord] = []
@@ -169,7 +159,7 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
                 return ev.index
 
             children = breed(population, pick)
-            children.append(random_program(limits, ops, rng))
+            children.append(random_program(SIZE_LIMITS, ops, rng))
             child_outputs = _predict_population(children, X_train)
             pool = population + children
             pool_maes = np.concatenate([errors.aggregate, _row_maes(child_outputs, y_train)])
@@ -185,9 +175,8 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
             next_outputs[~from_parent] = child_outputs[keep[~from_parent] - pop_size]
         else:
             passes = (build_pass_matrix(errors, config.selection)
-                      if method in LEXICASE_METHODS and method is not Method.LEX else None)
+                      if method in EPSILON_METHODS else None)
             if method in LEXICASE_METHODS:
-                n_cross, n_mut = variation_slots(pop_size, config.crossover_fraction)
                 orders = rng.permuted(
                     np.tile(np.arange(n_cases), (2 * n_cross + n_mut, 1)), axis=1)
                 order_iter = iter(orders)
@@ -198,8 +187,7 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
                     return ev.index
             elif method is Method.TOURNAMENT:
                 def pick():
-                    ev = tournament_select(errors.aggregate,
-                                           config.selection.tournament_size, rng, n_cases)
+                    ev = tournament_select(errors.aggregate, TOURNAMENT_SIZE, rng, n_cases)
                     events.append(ev)
                     return ev.index
             elif method is Method.RANDOM:
@@ -214,7 +202,7 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
             next_outputs = _predict_population(next_population, X_train)
             maes = _row_maes(next_outputs, y_train)
 
-        if config.elitism and float(maes.min()) > best_mae:
+        if float(maes.min()) > best_mae:
             worst = int(np.argmax(maes))
             if method is Method.AFP:
                 elite.age += 1

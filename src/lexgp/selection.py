@@ -58,14 +58,11 @@ class SelectionConfig:
     method: Method = Method.LEX
     eps_e: float = 5.0
     eps_y: float = 0.10
-    tournament_size: int = 2
 
     def __post_init__(self):
         self.method = Method(self.method)
         if self.eps_e < 0 or self.eps_y < 0:
             raise ValueError("epsilon values must be >= 0")
-        if self.tournament_size < 1:
-            raise ValueError("tournament size must be >= 1")
 
 
 def mad(values, axis=None):
@@ -147,9 +144,6 @@ class PassMatrix:
     method, built once per generation from whole-population statistics."""
 
     passes: np.ndarray
-    method: Method
-    eps_e: float
-    eps_y: float
 
     @cached_property
     def _case_masks(self) -> list[int]:
@@ -168,7 +162,7 @@ def build_pass_matrix(errors: ErrorMatrix, config: SelectionConfig) -> PassMatri
         passes = e < errors.case_mad[None, :]
     else:
         raise ValueError(f"{config.method.value} has no pass matrix")
-    return PassMatrix(passes, config.method, config.eps_e, config.eps_y)
+    return PassMatrix(passes)
 
 
 @dataclass(slots=True)

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from lexgp import afp
-from lexgp.afp import (AfpCandidate, afp_generation, dominates,
-                       environmental_select, strength_raw)
+from lexgp.afp import afp_generation, dominates, environmental_select, strength_raw
 from lexgp.expr import Program
-
-
-def candidates(points):
-    return [AfpCandidate(None, int(a), float(f)) for a, f in points]
 
 
 def brute_force_nondominated(points):
@@ -57,29 +52,26 @@ def test_spea2_total_below_one_iff_nondominated():
 
 
 def test_environmental_select_keeps_everyone_when_under_capacity():
-    group = candidates([(1, 0.5), (2, 0.4), (3, 0.3)])
-    assert environmental_select(group, 3) == group
+    assert environmental_select(np.array([(1, 0.5), (2, 0.4), (3, 0.3)]), 3) == [0, 1, 2]
 
 
 def test_environmental_select_prefers_nondominated():
-    group = candidates([(1, 0.5), (2, 0.4), (3, 0.3), (3, 0.6)])
-    chosen = environmental_select(group, 3)
-    assert [(c.age, c.f) for c in chosen] == [(1, 0.5), (2, 0.4), (3, 0.3)]
+    points = np.array([(1, 0.5), (2, 0.4), (3, 0.3), (3, 0.6)])
+    assert environmental_select(points, 3) == [0, 1, 2]
 
 
 def test_environmental_select_truncates_duplicates_first():
-    group = candidates([(0, 1.0), (0, 1.0), (1, 0.5), (2, 0.25), (3, 0.1)])
-    chosen = environmental_select(group, 4)
-    kept = [(c.age, c.f) for c in chosen]
+    points = np.array([(0, 1.0), (0, 1.0), (1, 0.5), (2, 0.25), (3, 0.1)])
+    chosen = environmental_select(points, 4)
+    kept = [tuple(points[i]) for i in chosen]
     assert kept.count((0, 1.0)) == 1
     assert len(kept) == 4
 
 
 def test_environmental_select_fills_with_lowest_total_dominated():
     # one nondominated point, capacity 2: the least-bad dominated joins it
-    group = candidates([(1, 0.1), (2, 0.2), (5, 0.9)])
-    chosen = environmental_select(group, 2)
-    assert [(c.age, c.f) for c in chosen] == [(1, 0.1), (2, 0.2)]
+    points = np.array([(1, 0.1), (2, 0.2), (5, 0.9)])
+    assert environmental_select(points, 2) == [0, 1]
 
 
 def test_environmental_select_capacity_exact_and_pareto_consistent():
@@ -89,14 +81,13 @@ def test_environmental_select_capacity_exact_and_pareto_consistent():
         cap = int(rng.integers(1, n + 1))
         points = list(zip(rng.integers(0, 8, n).tolist(),
                           rng.uniform(size=n).round(3).tolist()))
-        group = candidates(points)
-        chosen = environmental_select(group, cap)
+        chosen = environmental_select(np.asarray(points, dtype=float), cap)
         assert len(chosen) == cap
+        assert chosen == sorted(set(chosen))
         _, density = afp._scores(np.asarray(points, dtype=float))
         assert ((0.0 < density) & (density < 1.0)).all()
         nondominated = brute_force_nondominated(points)
-        chosen_ids = {id(c) for c in chosen}
-        kept_flags = [id(c) in chosen_ids for c in group]
+        kept_flags = [i in chosen for i in range(n)]
         # no dominated candidate may survive while a nondominated one dies
         if any(kept_flags[i] for i in range(n) if i not in nondominated):
             assert all(kept_flags[i] for i in nondominated)
@@ -114,9 +105,9 @@ def test_afp_generation_pool_size_and_aging(monkeypatch):
     seen_pools = []
     real_select = afp.environmental_select
 
-    def recording_select(candidates, capacity):
-        seen_pools.append(len(candidates))
-        return real_select(candidates, capacity)
+    def recording_select(points, capacity):
+        seen_pools.append(len(points))
+        return real_select(points, capacity)
 
     monkeypatch.setattr(afp, "environmental_select", recording_select)
     keep = afp_generation(pool, [float(p.age) for p in pool], 2)
@@ -143,4 +134,4 @@ def test_afp_generation_single_slot_keeps_sole_nondominated():
 
 def test_environmental_select_rejects_empty_capacity():
     with pytest.raises(ValueError):
-        environmental_select(candidates([(1, 0.5)]), 0)
+        environmental_select(np.array([(1, 0.5)]), 0)

@@ -140,8 +140,12 @@ def test_main_rejects_unknown_problem(capsys):
     ["--pop", "0"],
     ["--gens", "-1"],
     ["--pop", "1", "--methods", "tourn"],
+    ["--jobs", "-1"],
+    ["--jobs", "0"],
+    ["--split", "0.5"],
 ], ids=["unknown_config_key", "zero_population", "negative_generations",
-        "tournament_above_population"])
+        "tournament_above_population", "negative_jobs", "zero_jobs",
+        "split_without_data"])
 def test_main_rejects_bad_settings_before_any_output(bad, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("bogus = 1\n", encoding="utf-8")

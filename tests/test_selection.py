@@ -321,6 +321,4 @@ def test_random_select_seed_reproducible():
 def test_selection_config_validation():
     with pytest.raises(ValueError):
         SelectionConfig(method=Method.LEX, eps_e=-1.0)
-    with pytest.raises(ValueError):
-        SelectionConfig(method=Method.TOURNAMENT, tournament_size=0)
     assert SelectionConfig(method="lex_eps_e").method is Method.LEX_EPS_E
