@@ -5,6 +5,12 @@ randomly chosen parents and injects one fresh random individual as a restart
 mechanism; this module then selects survivors from parents + children +
 injected by Pareto rank over the (age, training MAE) objectives, both
 minimized.
+
+Survival over n candidates costs O(n log n) time for SPEA2 strength and raw
+fitness, which are exact integer dominance counts and sums taken by a
+Fenwick-tree sweep (Jensen, IEEE TEC 2003), and O(n^2) time but O(256 n)
+memory for the k-nearest-neighbor density, taken in blocks of 256 rows.
+Crowding truncation builds distances among the nondominated candidates only.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import Program
+
+_DENSITY_ROWS = 256  # rows of the distance matrix held at once for the density
 
 
 def dominates(a, b) -> bool:
@@ -21,12 +29,6 @@ def dominates(a, b) -> bool:
     return a0 <= b0 and a1 <= b1 and (a0 < b0 or a1 < b1)
 
 
-def _dominance(points: np.ndarray) -> np.ndarray:
-    le = (points[:, None, :] <= points[None, :, :]).all(axis=2)
-    lt = (points[:, None, :] < points[None, :, :]).any(axis=2)
-    return le & lt
-
-
 def _normalized(points: np.ndarray) -> np.ndarray:
     lo = points.min(axis=0)
     span = points.max(axis=0) - lo
@@ -34,21 +36,68 @@ def _normalized(points: np.ndarray) -> np.ndarray:
     return (points - lo) / span
 
 
-def _distance_matrix(points: np.ndarray) -> np.ndarray:
+def _distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     # Objectives live on incomparable scales (integer age vs MAE), so
     # distances are taken on per-objective [0, 1] normalized coordinates.
-    scaled = _normalized(points)
-    diff = scaled[:, None, :] - scaled[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
+    dx = rows[:, 0, None] - cols[None, :, 0]
+    dy = rows[:, 1, None] - cols[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    return np.unique(values, return_inverse=True)[1]
+
+
+def _upper_sums(first: np.ndarray, second: np.ndarray, weights: list[int]) -> list[int]:
+    """For each point j, the sum of ``weights[i]`` over the points i with
+    first_i >= first_j and second_i >= second_j, j included.
+
+    ``first`` and ``second`` are integer ranks. One sweep in descending
+    ``first`` order over a Fenwick tree indexed by ``second``; each group of
+    equal ``first`` is inserted before any of it is queried, so ties count.
+    """
+    top = int(second.max())
+    size = top - int(second.min()) + 1
+    slots = (top - second + 1).tolist()  # 1-based; a prefix is "second >= s"
+    order = np.argsort(-first, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(first[order])) + 1)
+    tree = [0] * (size + 1)
+    sums = [0] * len(slots)
+    for group in groups:
+        members = group.tolist()
+        for i in members:
+            slot, weight = slots[i], weights[i]
+            while slot <= size:
+                tree[slot] += weight
+                slot += slot & -slot
+        for i in members:
+            slot, total = slots[i], 0
+            while slot:
+                total += tree[slot]
+                slot &= slot - 1
+            sums[i] = total
+    return sums
 
 
 def strength_raw(points) -> tuple[np.ndarray, np.ndarray]:
-    """Per-candidate dominance strength and raw fitness."""
+    """Per-candidate dominance strength and raw fitness.
+
+    Strength is how many candidates a point dominates; raw fitness is the
+    summed strength of the candidates dominating it. With ``copies(j)`` the
+    number of candidates equal to j (j included),
+    S(j) = #{i weakly dominated by j} - copies(j) and
+    raw(i) = sum of S(j) over j weakly dominating i, - copies(i) * S(i).
+    """
     points = np.asarray(points, dtype=float)
-    dom = _dominance(points)
-    strength = dom.sum(axis=1).astype(float)
-    raw = dom.T.astype(float) @ strength
-    return strength, raw
+    age = _dense_ranks(points[:, 0])
+    mae = _dense_ranks(points[:, 1])
+    _, same, copies = np.unique(age * (int(mae.max()) + 1) + mae,
+                                return_inverse=True, return_counts=True)
+    copies = copies[same]
+    strength = np.array(_upper_sums(age, mae, [1] * len(age))) - copies
+    # Negated ranks sum over the points weakly dominating each point instead.
+    raw = np.array(_upper_sums(-age, -mae, strength.tolist())) - copies * strength
+    return strength.astype(float), raw.astype(float)
 
 
 def _scores(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -57,8 +106,11 @@ def _scores(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _, raw = strength_raw(points)
     n = points.shape[0]
     k = min(int(np.sqrt(n)), n - 1) if n > 1 else 0
-    dist = _distance_matrix(points)
-    sigma_k = np.sort(dist, axis=1)[:, k]
+    scaled = _normalized(points)
+    sigma_k = np.empty(n)
+    for start in range(0, n, _DENSITY_ROWS):
+        block = _distances(scaled[start:start + _DENSITY_ROWS], scaled)
+        sigma_k[start:start + _DENSITY_ROWS] = np.partition(block, k, axis=1)[:, k]
     density = 1.0 / (sigma_k + 2.0)
     return raw, density
 
@@ -93,17 +145,18 @@ def environmental_select(points, capacity: int) -> list[int]:
     if n <= capacity:
         return list(range(n))
     raw, density = _scores(points)
-    total = raw + density
 
-    nondominated = [i for i in range(n) if raw[i] == 0.0]
-    if len(nondominated) > capacity:
-        dist = _distance_matrix(points)
-        chosen = _truncate(nondominated, dist, capacity)
+    nondominated = np.flatnonzero(raw == 0.0)
+    if nondominated.shape[0] > capacity:
+        front = _normalized(points)[nondominated]
+        kept = _truncate(list(range(front.shape[0])), _distances(front, front), capacity)
+        chosen = nondominated[kept]
     else:
-        dominated = [i for i in range(n) if raw[i] > 0.0]
-        dominated.sort(key=lambda i: total[i])
-        chosen = nondominated + dominated[:capacity - len(nondominated)]
-    return sorted(chosen)
+        dominated = np.flatnonzero(raw > 0.0)
+        total = raw[dominated] + density[dominated]
+        dominated = dominated[np.argsort(total, kind="stable")]
+        chosen = np.concatenate([nondominated, dominated[:capacity - nondominated.shape[0]]])
+    return sorted(chosen.tolist())
 
 
 def afp_generation(pool: list[Program], maes, capacity: int) -> list[int]:

@@ -163,8 +163,8 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
             child_outputs = _predict_population(children, X_train)
             pool = population + children
             pool_maes = np.concatenate([errors.aggregate, _row_maes(child_outputs, y_train)])
-            # Survival builds (2P+1)^2 arrays; the error matrix is not needed
-            # past this point, so free it first.
+            # The error matrix is not needed past this point: free it
+            # before survival.
             del errors
             keep = np.asarray(afp_mod.afp_generation(pool, pool_maes, pop_size))
             next_population = [pool[i] for i in keep]

@@ -73,7 +73,9 @@ def mad(values, axis=None):
     v = np.asarray(values, dtype=float)
     if v.size < 1:
         raise ValueError("mad of empty vector")
-    spread = np.median(np.abs(v - np.median(v, axis=axis, keepdims=True)), axis=axis)
+    deviation = v - np.median(v, axis=axis, keepdims=True)
+    np.abs(deviation, out=deviation)
+    spread = np.median(deviation, axis=axis, overwrite_input=True)
     return float(spread) if axis is None else spread
 
 
@@ -113,16 +115,28 @@ class ErrorMatrix:
     @cached_property
     def case_mad(self) -> np.ndarray:
         """Length N column MADs, computed on first use: only the MAD-based
-        epsilon methods read them."""
-        return mad(self.errors, axis=0)
+        epsilon methods read them. Medians along contiguous rows are faster,
+        so they are taken on a case-major copy, which is not kept."""
+        return mad(np.ascontiguousarray(self.errors.T), axis=1)
+
+    @cached_property
+    def _case_major(self) -> np.ndarray:
+        """N x |P| contiguous copy of the errors, one row per case."""
+        return np.ascontiguousarray(self.errors.T)
 
     @cached_property
     def _elite_masks(self) -> list[int]:
         return _pack_columns(self.errors == self.case_elite[None, :])
 
     @cached_property
-    def _columns(self) -> list[list[float]]:
-        return self.errors.T.tolist()
+    def _twin_masks(self) -> list[int]:
+        """Per program, the mask of the programs whose error rows are
+        bitwise equal to its own ("twins"), itself included."""
+        keys = [row.tobytes() for row in self.errors]
+        classes: dict[bytes, int] = {}
+        for i, key in enumerate(keys):
+            classes[key] = classes.get(key, 0) | (1 << i)
+        return [classes[key] for key in keys]
 
 
 def build_error_matrix(outputs, targets) -> ErrorMatrix:
@@ -191,8 +205,8 @@ def lexicase_select(errors: ErrorMatrix, passes: PassMatrix | None,
     pool = (1 << n) - 1
     examined = 0
     elite_masks = errors._elite_masks if passes is None else None
+    twin_masks = errors._twin_masks if passes is None else None
     case_masks = passes._case_masks if passes is not None else None
-    columns = None
     for t in case_order:
         examined += 1
         if case_masks is not None:
@@ -204,18 +218,19 @@ def lexicase_select(errors: ErrorMatrix, passes: PassMatrix | None,
             if survivors == 0:
                 # No population-elite left in the pool: fall back to the
                 # pool-relative minimum on this case.
-                if columns is None:
-                    columns = errors._columns
-                col = columns[t]
-                members = _bit_indices(pool)
-                best = min(col[i] for i in members)
+                members = np.array(_bit_indices(pool))
+                column = errors._case_major[t, members]
                 survivors = 0
-                for i in members:
-                    if col[i] == best:
-                        survivors |= 1 << i
+                for i in members[column == column.min()].tolist():
+                    survivors |= 1 << i
         pool = survivors
         if (pool & (pool - 1)) == 0:
             return SelectionEvent(pool.bit_length() - 1, examined, False)
+        if twin_masks is not None and not pool & ~twin_masks[(pool & -pool).bit_length() - 1]:
+            # The pool is one class of equal error rows, which no later case
+            # can split: the walk would end in this same tie-break.
+            examined = len(case_order)
+            break
     members = _bit_indices(pool)
     return SelectionEvent(members[int(len(members) * rng.random())], examined, True)
 

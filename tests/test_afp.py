@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexgp import afp
 from lexgp.afp import afp_generation, dominates, environmental_select, strength_raw
@@ -12,6 +16,114 @@ def brute_force_nondominated(points):
         if not any(dominates(q, p) for j, q in enumerate(points) if j != i):
             out.add(i)
     return out
+
+
+# ------------------------------------------------- O(n^2) reference survival
+
+def reference_distances(points):
+    scaled = afp._normalized(points)
+    diff = scaled[:, None, :] - scaled[None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=2))
+
+
+def reference_strength_raw(points):
+    """Strength and raw fitness from the full (n, n) dominance matrix."""
+    points = np.asarray(points, dtype=float)
+    le = (points[:, None, :] <= points[None, :, :]).all(axis=2)
+    lt = (points[:, None, :] < points[None, :, :]).any(axis=2)
+    dom = le & lt
+    strength = dom.sum(axis=1).astype(float)
+    raw = dom.T.astype(float) @ strength
+    return strength, raw
+
+
+def reference_scores(points):
+    _, raw = reference_strength_raw(points)
+    n = points.shape[0]
+    k = min(int(np.sqrt(n)), n - 1) if n > 1 else 0
+    sigma_k = np.sort(reference_distances(points), axis=1)[:, k]
+    return raw, 1.0 / (sigma_k + 2.0)
+
+
+def reference_select(points, capacity):
+    """Survivors with scores and truncation distances over the whole pool."""
+    n = points.shape[0]
+    if n <= capacity:
+        return list(range(n))
+    raw, density = reference_scores(points)
+    total = raw + density
+    nondominated = [i for i in range(n) if raw[i] == 0.0]
+    if len(nondominated) > capacity:
+        chosen = afp._truncate(nondominated, reference_distances(points), capacity)
+    else:
+        dominated = sorted((i for i in range(n) if raw[i] > 0.0), key=lambda i: total[i])
+        chosen = nondominated + dominated[:capacity - len(nondominated)]
+    return sorted(chosen)
+
+
+@st.composite
+def pools(draw):
+    """(age, MAE) pools with tied ages, tied MAEs and repeated points. Front
+    pools put most points on a convex curve of falling MAE, so that the
+    nondominated set often outgrows the capacity; the points off the curve
+    may stretch the MAE range that normalizes the truncation distances."""
+    n = draw(st.integers(1, 40))
+    top_age = draw(st.integers(0, 6))
+    top_mae = draw(st.integers(0, 8))
+    front = draw(st.booleans())
+    rows = []
+    for _ in range(n):
+        age = draw(st.integers(0, top_age))
+        if front:
+            mae = 4 / (age + 1) + draw(st.sampled_from([0.0, 0.0, 0.0, 0.5, 8.0]))
+        else:
+            mae = draw(st.integers(0, top_mae)) / 8
+        rows.append((age, mae))
+    return np.array(rows, dtype=float), draw(st.integers(1, n))
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@PROPERTY
+@given(pools())
+def test_scores_equal_the_reference_bit_for_bit(pool):
+    points, _ = pool
+    for fast, slow in zip(strength_raw(points), reference_strength_raw(points)):
+        assert fast.tobytes() == slow.tobytes()
+    for fast, slow in zip(afp._scores(points), reference_scores(points)):
+        assert fast.tobytes() == slow.tobytes()
+
+
+@PROPERTY
+@given(pools())
+def test_environmental_select_equals_the_reference(pool):
+    points, capacity = pool
+    assert environmental_select(points, capacity) == reference_select(points, capacity)
+
+
+def test_truncation_distances_use_the_whole_pool_normalization():
+    # a five-point convex front and one dominated point that stretches the
+    # MAE range: cut to 3, the pool-wide scale keeps ages 0, 2 and 4, where
+    # the front's own scale would keep ages 0, 1 and 4
+    ages = np.arange(5.0)
+    points = np.vstack([np.column_stack([ages, 4 / (ages + 1)]), [4.0, 4 / 5 + 8]])
+    assert environmental_select(points, 3) == reference_select(points, 3) == [0, 2, 4]
+
+
+def test_survival_memory_stays_below_half_a_pairwise_matrix():
+    rng = np.random.default_rng(0)
+    n = 4001
+    points = np.column_stack([rng.integers(0, 12, n).astype(float),
+                              rng.gamma(2.0, 0.3, n).round(4)])
+    tracemalloc.start()
+    try:
+        chosen = environmental_select(points, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chosen) == 2000
+    assert peak < n * n * 8 / 2  # bytes: half of one (n, n) float64 array
 
 
 def test_dominates_needs_strict_improvement():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexgp.selection import (EPSILON_METHODS, ErrorMatrix, Method,
                              SelectionConfig, build_error_matrix,
@@ -202,6 +204,38 @@ def test_lexicase_continuous_errors_resolve_after_one_case():
     for _ in range(500):
         ev = lexicase_select(em, None, rng.permutation(20), rng)
         assert ev.cases_examined == 1 and not ev.tie_break
+
+
+def reference_lexicase(errors, order, rng):
+    """Standard lexicase as a plain walk over every case of the order."""
+    pool = list(range(len(errors)))
+    for examined, t in enumerate(order, start=1):
+        best = min(errors[i][t] for i in pool)
+        pool = [i for i in pool if errors[i][t] == best]
+        if len(pool) == 1:
+            return pool[0], examined, False
+    return pool[int(len(pool) * rng.random())], len(order), True
+
+
+def test_twin_masks_group_equal_error_rows():
+    em = matrix_from_errors([[1.0, 2.0], [0.0, 2.0], [1.0, 2.0], [1.0, 2.0], [0.0, 2.0]])
+    assert em._twin_masks == [0b01101, 0b10010, 0b01101, 0b01101, 0b10010]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(1, 6), st.data())
+def test_lexicase_equals_a_full_walk(n, n_cases, data):
+    # few distinct rows and values, so pools often end as one twin class
+    distinct = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=n_cases,
+                                           max_size=n_cases), min_size=1, max_size=3))
+    rows = [distinct[data.draw(st.integers(0, len(distinct) - 1))] for _ in range(n)]
+    order = data.draw(st.permutations(range(n_cases)))
+    em = matrix_from_errors(rows)
+    fast_rng, slow_rng = np.random.default_rng(0), np.random.default_rng(0)
+    ev = lexicase_select(em, None, order, fast_rng)
+    assert (ev.index, ev.cases_examined, ev.tie_break) == \
+        reference_lexicase(em.errors.tolist(), order, slow_rng)
+    assert fast_rng.random() == slow_rng.random()
 
 
 def test_lexicase_never_returns_invalid_index():
