@@ -15,18 +15,13 @@ Crowding truncation builds distances among the nondominated candidates only.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .expr import Program
 
 _DENSITY_ROWS = 256  # rows of the distance matrix held at once for the density
-
-
-def dominates(a, b) -> bool:
-    """Pareto dominance for minimization: no worse everywhere, better once."""
-    a0, a1 = a
-    b0, b1 = b
-    return a0 <= b0 and a1 <= b1 and (a0 < b0 or a1 < b1)
 
 
 def _normalized(points: np.ndarray) -> np.ndarray:
@@ -159,16 +154,15 @@ def environmental_select(points, capacity: int) -> list[int]:
     return sorted(chosen.tolist())
 
 
-def afp_generation(pool: list[Program], maes, capacity: int) -> list[int]:
+def afp_generation(pool: list[Program], maes, capacity: int
+                   ) -> tuple[np.ndarray, list[Program]]:
     """Survival over one generation's pool of programs scored by training MAE.
 
     The engine's pool holds the parents, |P| bred children and one injected
     random program (2|P| + 1 candidates). Returns the ascending pool indices
-    of the ``capacity`` survivors and advances the age of each distinct
-    surviving program by one generation.
+    of the ``capacity`` survivors and the survivors themselves, each one
+    generation older.
     """
     points = np.column_stack([[p.age for p in pool], maes]).astype(float)
-    keep = environmental_select(points, capacity)
-    for program in {id(pool[i]): pool[i] for i in keep}.values():
-        program.age += 1
-    return keep
+    keep = np.asarray(environmental_select(points, capacity))
+    return keep, [replace(pool[i], age=pool[i].age + 1) for i in keep.tolist()]

@@ -44,6 +44,8 @@ class ExperimentConfig:
             raise ValueError("need at least one method")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.split < 1.0:
             raise ValueError("split ratio must be in (0, 1)")
         if self.jobs is not None and self.jobs < 1:
@@ -64,9 +66,7 @@ class ExperimentConfig:
 class TrialResult:
     method: Method
     problem: str
-    trial: int
     test_mae: float
-    best_train_mae: float
     total_s: float
 
 
@@ -102,8 +102,7 @@ def _run_task(args) -> tuple[TrialResult, list[list]]:
                     np.random.default_rng(config.seed + trial))
     rows = [[r.generation, r.best_train_mae, r.diversity, r.median_cases_used, r.elapsed_s]
             for r in log.records]
-    result = TrialResult(method, config.problem_name, trial,
-                         log.test_mae, log.best_train_mae, log.total_s)
+    result = TrialResult(method, config.problem_name, log.test_mae, log.total_s)
     return result, rows
 
 
@@ -150,19 +149,12 @@ def emit_summary(results: list[TrialResult]) -> list[SummaryRow]:
     return rows
 
 
-def mean_ranks(rows: list[SummaryRow]) -> dict[str, float]:
-    """Mean rank of each method across problems."""
-    per_method: dict[str, list[float]] = {}
-    for row in rows:
-        per_method.setdefault(row.method, []).append(row.rank)
-    return {m: float(np.mean(rs)) for m, rs in per_method.items()}
-
-
 def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
     """Run the full method x trial matrix and write all output files."""
+    # A missing or malformed CSV fails before any output exists.
+    dataset = load_csv(config.data, config.target) if config.data else None
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = load_csv(config.data, config.target) if config.data else None
 
     tasks = [(config, dataset, method, trial)
              for method in config.methods for trial in range(config.trials)]
@@ -255,9 +247,12 @@ def parse_config(argv=None) -> ExperimentConfig:
             values[key] = flag
     if args.methods is not None:
         values["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
-    # The built-in problem has a fixed train/test split.
-    if "split" in values and values.get("data") is None:
-        raise ValueError("--split applies only to --data")
+    # The built-in problem has a fixed train/test split and target.
+    for key in ("split", "target"):
+        if key in values and values.get("data") is None:
+            raise ValueError(f"--{key} applies only to --data")
+    if "problem" in values and values.get("data") is not None:
+        raise ValueError("--problem and --data exclude each other")
     return ExperimentConfig(**values)
 
 

@@ -27,7 +27,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -51,14 +50,10 @@ class Dataset:
 
 @dataclass
 class SplitDataset:
-    """Train/test partition plus the normalization statistics applied."""
+    """Train/test partition, both normalized by training statistics."""
 
     train: Dataset
     test: Dataset
-    feature_mean: np.ndarray
-    feature_std: np.ndarray
-    target_mean: float
-    target_std: float
 
 
 def load_csv(path, target: str | None = None) -> Dataset:
@@ -101,7 +96,7 @@ def load_csv(path, target: str | None = None) -> Dataset:
         raise LoadError(f"{path}: no data rows")
 
     feature_cols = [c for c in range(len(header)) if c != target_idx]
-    return Dataset(values[:, feature_cols], values[:, target_idx], name=path.stem)
+    return Dataset(values[:, feature_cols], values[:, target_idx])
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -131,12 +126,10 @@ def _normalized_split(train: Dataset, test: Dataset) -> SplitDataset:
         logger.warning("constant target left unnormalized")
         y_mean, y_std = 0.0, 1.0
 
-    def apply(ds: Dataset, tag: str) -> Dataset:
-        return Dataset((ds.X - mean) / std, (ds.y - y_mean) / y_std,
-                       name=f"{ds.name}-{tag}" if ds.name else tag)
+    def apply(ds: Dataset) -> Dataset:
+        return Dataset((ds.X - mean) / std, (ds.y - y_mean) / y_std)
 
-    return SplitDataset(apply(train, "train"), apply(test, "test"),
-                        mean, std, y_mean, y_std)
+    return SplitDataset(apply(train), apply(test))
 
 
 def split_normalize(dataset: Dataset, ratio: float = 0.7, rng=None) -> SplitDataset:
@@ -154,8 +147,8 @@ def split_normalize(dataset: Dataset, ratio: float = 0.7, rng=None) -> SplitData
     perm = rng.permutation(n)
     n_train = min(max(int(round(ratio * n)), 1), n - 1)
     train_rows, test_rows = perm[:n_train], perm[n_train:]
-    train = Dataset(dataset.X[train_rows], dataset.y[train_rows], name=dataset.name)
-    test = Dataset(dataset.X[test_rows], dataset.y[test_rows], name=dataset.name)
+    train = Dataset(dataset.X[train_rows], dataset.y[train_rows])
+    test = Dataset(dataset.X[test_rows], dataset.y[test_rows])
     return _normalized_split(train, test)
 
 
@@ -165,22 +158,16 @@ def uball5d(X) -> np.ndarray:
     return 10.0 / (5.0 + ((X - 3.0) ** 2).sum(axis=-1))
 
 
-def generate_uball5d(n_train: int = 1024, n_test: int = 5000, rng=None,
-                     low: float = 0.05, high: float = 6.05,
-                     normalize: bool = True) -> SplitDataset:
+def generate_uball5d(n_train: int = 1024, n_test: int = 5000, rng=None) -> SplitDataset:
     """Sample the five-feature benchmark with its own pre-sized test set.
 
-    Features are drawn uniformly from [low, high]; targets come from the
-    closed-form response surface before any normalization.
+    Features are drawn uniformly from [0.05, 6.05]; targets come from the
+    closed-form response surface before normalization.
     """
     if n_train < 1 or n_test < 1:
         raise ValueError("sample counts must be positive")
     rng = rng if rng is not None else np.random.default_rng()
-    X_train = rng.uniform(low, high, size=(n_train, 5))
-    X_test = rng.uniform(low, high, size=(n_test, 5))
-    train = Dataset(X_train, uball5d(X_train), name="uball5d")
-    test = Dataset(X_test, uball5d(X_test), name="uball5d")
-    if not normalize:
-        d = train.n_features
-        return SplitDataset(train, test, np.zeros(d), np.ones(d), 0.0, 1.0)
-    return _normalized_split(train, test)
+    X_train = rng.uniform(0.05, 6.05, size=(n_train, 5))
+    X_test = rng.uniform(0.05, 6.05, size=(n_test, 5))
+    return _normalized_split(Dataset(X_train, uball5d(X_train)),
+                             Dataset(X_test, uball5d(X_test)))

@@ -67,13 +67,14 @@ class RunLog:
                       self.test_mae, 0.0)
 
 
-def mae(predicted, targets) -> float:
-    """Mean absolute error between two equal-length vectors."""
+def mae(predicted, targets):
+    """Mean absolute error along the last axis: a float for one output
+    vector, one error per row for a matrix of output vectors."""
     predicted = np.asarray(predicted, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if predicted.shape != targets.shape:
+    if predicted.shape[-1:] != targets.shape:
         raise ValueError(f"length mismatch {predicted.shape} vs {targets.shape}")
-    return float(np.mean(np.abs(predicted - targets)))
+    return np.abs(predicted - targets).mean(axis=-1)
 
 
 def diversity(outputs) -> float:
@@ -98,21 +99,17 @@ def _predict_population(population, X) -> np.ndarray:
     return out
 
 
-def _row_maes(outputs, y) -> np.ndarray:
-    return np.abs(outputs - y[None, :]).mean(axis=1)
-
-
 def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
     """Evolve one population on the training split and score the winner on
     the test split.
 
-    Each generation: build the error matrix (plus the pass matrix for
-    epsilon methods), breed a full population of children through the
-    configured selection method and variation mix, hill-climb their
-    constants, then reinstate the previous best if every child is worse.
-    The AFP method instead breeds from random parents, injects one random
-    program, and survives the combined pool through Pareto environmental
-    selection.
+    Each generation, every method takes the same steps: build the error
+    matrix, breed a full population of children through the method's
+    parent selection and the variation mix, hill-climb their constants,
+    evaluate them, then reinstate the previous best if every new program
+    is worse. AFP breeds from random parents, adds one injected random
+    program before evaluation, and survives parents plus children through
+    Pareto environmental selection; every other method keeps the children.
 
     Every program is evaluated once, when it is created: the training
     outputs travel with the population, row i belonging to program i.
@@ -122,22 +119,23 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
     n_cases = X_train.shape[0]
     pop_size = config.population_size
     method = config.selection.method
+    afp = method is Method.AFP
     ops = OperatorSet(split.train.n_features)
     n_cross, n_mut = variation_slots(pop_size, CROSSOVER_FRACTION)
 
     population = [random_program(SIZE_LIMITS, ops, rng) for _ in range(pop_size)]
     outputs = _predict_population(population, X_train)
 
-    def breed(parents, pick):
+    def breed(select, events):
         """A full population of children via the crossover/mutation mix,
-        constants tuned."""
-        children = []
-        for _ in range(n_cross):
-            a = parents[pick()]
-            b = parents[pick()]
-            children.append(subtree_crossover(a, b, SIZE_LIMITS, rng))
-        for _ in range(n_mut):
-            children.append(point_mutation(parents[pick()], ops, rng))
+        constants tuned; each parent pick is recorded in ``events``."""
+        def parent():
+            events.append(select())
+            return population[events[-1].index]
+
+        children = [subtree_crossover(parent(), parent(), SIZE_LIMITS, rng)
+                    for _ in range(n_cross)]
+        children += [point_mutation(parent(), ops, rng) for _ in range(n_mut)]
         return [hill_climb_constants(c, X_train, y_train, HILL_CLIMB_SCALE, rng)
                 for c in children]
 
@@ -147,78 +145,59 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
         errors = build_error_matrix(outputs, y_train)
         best_idx = int(np.argmin(errors.aggregate))
         best_mae = float(errors.aggregate[best_idx])
-        elite = population[best_idx]
         unique_fraction = diversity(outputs)
 
+        # One parent pick per call: lexicase over pre-drawn case orders, a
+        # tournament, or a uniform pick for rand and afp.
+        if method in LEXICASE_METHODS:
+            passes = (build_pass_matrix(errors, config.selection)
+                      if method in EPSILON_METHODS else None)
+            orders = iter(rng.permuted(
+                np.tile(np.arange(n_cases), (2 * n_cross + n_mut, 1)), axis=1))
+            select = lambda: lexicase_select(errors, passes, next(orders), rng)
+        elif method is Method.TOURNAMENT:
+            select = lambda: tournament_select(errors.aggregate, TOURNAMENT_SIZE, rng, n_cases)
+        else:
+            select = lambda: random_select(pop_size, rng)
         events = []
+        next_population = breed(select, events)
+        if afp:
+            next_population.append(random_program(SIZE_LIMITS, ops, rng))
+        next_outputs = _predict_population(next_population, X_train)
+        maes = mae(next_outputs, y_train)
 
-        if method is Method.AFP:
-            def pick():
-                ev = random_select(pop_size, rng)
-                events.append(ev)
-                return ev.index
-
-            children = breed(population, pick)
-            children.append(random_program(SIZE_LIMITS, ops, rng))
-            child_outputs = _predict_population(children, X_train)
-            pool = population + children
-            pool_maes = np.concatenate([errors.aggregate, _row_maes(child_outputs, y_train)])
+        if afp:
+            maes = np.concatenate([errors.aggregate, maes])
             # The error matrix is not needed past this point: free it
             # before survival.
             del errors
-            keep = np.asarray(afp_mod.afp_generation(pool, pool_maes, pop_size))
-            next_population = [pool[i] for i in keep]
-            maes = pool_maes[keep]
-            from_parent = keep < pop_size
-            next_outputs = np.empty_like(outputs)
-            next_outputs[from_parent] = outputs[keep[from_parent]]
-            next_outputs[~from_parent] = child_outputs[keep[~from_parent] - pop_size]
-        else:
-            passes = (build_pass_matrix(errors, config.selection)
-                      if method in EPSILON_METHODS else None)
-            if method in LEXICASE_METHODS:
-                orders = rng.permuted(
-                    np.tile(np.arange(n_cases), (2 * n_cross + n_mut, 1)), axis=1)
-                order_iter = iter(orders)
-
-                def pick():
-                    ev = lexicase_select(errors, passes, next(order_iter), rng)
-                    events.append(ev)
-                    return ev.index
-            elif method is Method.TOURNAMENT:
-                def pick():
-                    ev = tournament_select(errors.aggregate, TOURNAMENT_SIZE, rng, n_cases)
-                    events.append(ev)
-                    return ev.index
-            elif method is Method.RANDOM:
-                def pick():
-                    ev = random_select(pop_size, rng)
-                    events.append(ev)
-                    return ev.index
-            else:
-                raise ValueError(f"unsupported method {method}")
-
-            next_population = breed(population, pick)
-            next_outputs = _predict_population(next_population, X_train)
-            maes = _row_maes(next_outputs, y_train)
+            keep, next_population = afp_mod.afp_generation(
+                population + next_population, maes, pop_size)
+            maes = maes[keep]
+            # keep is ascending, so surviving parents come first. Filling one
+            # part at a time holds a single temporary gather.
+            n_parents = int(np.searchsorted(keep, pop_size))
+            survivors = np.empty_like(outputs)
+            survivors[:n_parents] = outputs[keep[:n_parents]]
+            survivors[n_parents:] = next_outputs[keep[n_parents:] - pop_size]
+            next_outputs = survivors
 
         if float(maes.min()) > best_mae:
             worst = int(np.argmax(maes))
-            if method is Method.AFP:
-                elite.age += 1
-            next_population[worst] = elite
+            elite = population[best_idx]
+            next_population[worst] = replace(elite, age=elite.age + 1) if afp else elite
             next_outputs[worst] = outputs[best_idx]
 
         if len(next_population) != pop_size:
             raise RuntimeError(f"population size drifted to {len(next_population)}")
-        median_cases = float(np.median([ev.cases_examined for ev in events])) if events else 0.0
+        median_cases = float(np.median([ev.cases_examined for ev in events]))
         records.append(GenerationRecord(gen, best_mae, unique_fraction, median_cases,
                                         time.perf_counter() - gen_start))
         population, outputs = next_population, next_outputs
 
-    final_maes = _row_maes(outputs, y_train)
+    final_maes = mae(outputs, y_train)
     best_idx = int(np.argmin(final_maes))
     best = population[best_idx]
-    test_error = mae(predict(best, split.test.X), split.test.y)
+    test_error = float(mae(predict(best, split.test.X), split.test.y))
     return RunLog(records, best, float(final_maes[best_idx]), test_error,
                   time.perf_counter() - start)

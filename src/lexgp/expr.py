@@ -67,7 +67,7 @@ DEFAULT_OPERATORS: tuple[Operator, ...] = (
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Operators plus terminal configuration for one problem.
+    """Terminal configuration for one problem over DEFAULT_OPERATORS.
 
     Terminals are feature references (one per input column) and ephemeral
     random constants drawn uniformly from ``erc_range``.
@@ -75,7 +75,6 @@ class OperatorSet:
 
     n_features: int
     erc_range: tuple[float, float] = (-1.0, 1.0)
-    operators: tuple[Operator, ...] = DEFAULT_OPERATORS
 
     def __post_init__(self):
         if self.n_features < 1:
@@ -83,14 +82,6 @@ class OperatorSet:
         lo, hi = self.erc_range
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
             raise ValueError(f"bad ERC range {self.erc_range}")
-        if not self.operators:
-            raise ValueError("empty operator set")
-
-    def by_arity(self, arity: int) -> tuple[Operator, ...]:
-        return tuple(op for op in self.operators if op.arity == arity)
-
-    def random_operator(self, rng) -> Operator:
-        return self.operators[int(rng.integers(len(self.operators)))]
 
     def random_terminal(self, rng):
         """Feature index or fresh constant, uniform over the D+1 choices."""
@@ -101,21 +92,17 @@ class OperatorSet:
         return float(rng.uniform(lo, hi))
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Program:
     """A symbolic-regression model: prefix node list plus an age counter.
 
-    The node list is never mutated after construction; variation operators
-    build new lists. ``age`` counts generations since the oldest ancestor
-    was created and only ever increases.
+    Programs are immutable: variation operators build new node lists, and
+    AFP ages a survivor by ``dataclasses.replace(p, age=p.age + 1)``.
+    ``age`` counts generations since the oldest ancestor was created.
     """
 
     nodes: list
     age: int = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
 
     def constants(self) -> list[int]:
         """Positions of constant nodes."""
@@ -190,7 +177,7 @@ def _grow(depth, ops: OperatorSet, rng, out: list, at_root=True):
         out.append(ops.random_terminal(rng))
         return
     if at_root or rng.random() < 0.5:
-        op = ops.random_operator(rng)
+        op = DEFAULT_OPERATORS[int(rng.integers(len(DEFAULT_OPERATORS)))]
         out.append(op)
         for _ in range(op.arity):
             _grow(depth - 1, ops, rng, out, at_root=False)
@@ -202,7 +189,7 @@ def _full(depth, ops: OperatorSet, rng, out: list):
     if depth == 0:
         out.append(ops.random_terminal(rng))
         return
-    op = ops.random_operator(rng)
+    op = DEFAULT_OPERATORS[int(rng.integers(len(DEFAULT_OPERATORS)))]
     out.append(op)
     for _ in range(op.arity):
         _full(depth - 1, ops, rng, out)
@@ -217,14 +204,14 @@ def _ramp_depths(max_size: int) -> list[int]:
     return list(range(lo, d + 1))
 
 
-def random_program(limits: tuple[int, int], ops: OperatorSet, rng,
-                   max_tries: int = 1000) -> Program:
-    """Ramped half-and-half generation with size-limit rejection."""
+def random_program(limits: tuple[int, int], ops: OperatorSet, rng) -> Program:
+    """Ramped half-and-half generation with size-limit rejection, giving up
+    after 1000 draws."""
     min_size, max_size = limits
     if min_size < 1 or max_size < min_size:
         raise ValueError(f"bad size limits {limits}")
     depths = _ramp_depths(max_size)
-    for _ in range(max_tries):
+    for _ in range(1000):
         depth = depths[int(rng.integers(len(depths)))]
         nodes: list = []
         if rng.random() < 0.5:
@@ -261,7 +248,7 @@ def point_mutation(parent: Program, ops: OperatorSet, rng) -> Program:
     i = int(rng.integers(len(nodes)))
     node = nodes[i]
     if isinstance(node, Operator):
-        candidates = ops.by_arity(node.arity)
+        candidates = [op for op in DEFAULT_OPERATORS if op.arity == node.arity]
         nodes[i] = candidates[int(rng.integers(len(candidates)))]
     elif isinstance(node, int):
         nodes[i] = int(rng.integers(ops.n_features))

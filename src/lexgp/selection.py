@@ -61,7 +61,7 @@ class SelectionConfig:
 
     def __post_init__(self):
         self.method = Method(self.method)
-        if self.eps_e < 0 or self.eps_y < 0:
+        if not (self.eps_e >= 0 and self.eps_y >= 0):  # NaN fails too
             raise ValueError("epsilon values must be >= 0")
 
 

@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from lexgp.afp import dominates, environmental_select
+from lexgp.afp import environmental_select
 from lexgp.data import (Dataset, generate_uball5d, load_csv, save_csv,
                         split_normalize, uball5d)
 from lexgp.engine import EngineConfig, run_trial
@@ -266,8 +266,9 @@ def test_10_environmental_selection_against_brute_force():
                           rng.uniform(size=n).round(3).tolist()))
         chosen = environmental_select(np.asarray(points, dtype=float), capacity)
         ok &= len(chosen) == capacity
+        # q dominates p when it is no worse in both objectives and not equal
         nondominated = {i for i, p in enumerate(points)
-                        if not any(dominates(q, p) for j, q in enumerate(points) if j != i)}
+                        if not any(q[0] <= p[0] and q[1] <= p[1] and q != p for q in points)}
         chosen_ids = set(chosen)
         kept = [i in chosen_ids for i in range(n)]
         if any(kept[i] for i in range(n) if i not in nondominated):
@@ -282,7 +283,7 @@ def test_10_environmental_selection_against_brute_force():
 def test_11_data_pipeline(tmp_path):
     start = time.perf_counter()
     rng = np.random.default_rng(41)
-    ds = Dataset(rng.normal(size=(25, 3)) * 13.7, rng.normal(size=25), name="rt")
+    ds = Dataset(rng.normal(size=(25, 3)) * 13.7, rng.normal(size=25))
     path = tmp_path / "rt.csv"
     save_csv(ds, path)
     back = load_csv(path)

@@ -6,8 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexgp import afp
-from lexgp.afp import afp_generation, dominates, environmental_select, strength_raw
+from lexgp.afp import afp_generation, environmental_select, strength_raw
 from lexgp.expr import Program
+
+
+def dominates(a, b) -> bool:
+    """Pareto dominance for minimization: no worse everywhere, better once."""
+    a0, a1 = a
+    b0, b1 = b
+    return a0 <= b0 and a1 <= b1 and (a0 < b0 or a1 < b1)
 
 
 def brute_force_nondominated(points):
@@ -222,26 +229,29 @@ def test_afp_generation_pool_size_and_aging(monkeypatch):
         return real_select(points, capacity)
 
     monkeypatch.setattr(afp, "environmental_select", recording_select)
-    keep = afp_generation(pool, [float(p.age) for p in pool], 2)
+    keep, survivors = afp_generation(pool, [float(p.age) for p in pool], 2)
     assert seen_pools == [5]
     assert len(keep) == 2
-    assert keep == sorted(set(keep)) and all(0 <= i < 5 for i in keep)
-    assert all(pool[i].age >= 1 for i in keep)
+    assert keep.tolist() == sorted(set(keep.tolist())) and all(0 <= i < 5 for i in keep)
+    assert [s.age for s in survivors] == [pool[i].age + 1 for i in keep]
+    assert [s.nodes for s in survivors] == [pool[i].nodes for i in keep]
+    assert [p.age for p in pool] == [3, 5, 5, 5, 0]  # the pool itself is untouched
 
 
 def test_afp_generation_ages_a_repeated_survivor_once():
     program = make_program(1)
-    keep = afp_generation([program, program], [0.5, 0.5], 2)
-    assert keep == [0, 1]
-    assert program.age == 2
+    keep, survivors = afp_generation([program, program], [0.5, 0.5], 2)
+    assert keep.tolist() == [0, 1]
+    assert [s.age for s in survivors] == [2, 2]
+    assert program.age == 1
 
 
 def test_afp_generation_single_slot_keeps_sole_nondominated():
     # parent 0.5, child 0.9, injected 0.3: the injected one dominates all
     pool = [make_program(5), make_program(5), make_program(0)]
-    keep = afp_generation(pool, [0.5, 0.9, 0.3], 1)
-    assert keep == [2]
-    assert pool[2].age == 1  # injected at age 0, aged by survival
+    keep, survivors = afp_generation(pool, [0.5, 0.9, 0.3], 1)
+    assert keep.tolist() == [2]
+    assert survivors == [Program([0], age=1)]  # injected at age 0, aged by survival
 
 
 def test_environmental_select_rejects_empty_capacity():

@@ -3,8 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from lexgp.cli import (ExperimentConfig, SummaryRow, TrialResult, emit_summary,
-                       main, mean_ranks, parse_config, run_experiment)
+from lexgp.cli import (ExperimentConfig, TrialResult, emit_summary, main,
+                       parse_config, run_experiment)
 from lexgp.data import Dataset, load_csv, save_csv
 from lexgp.selection import Method
 
@@ -23,14 +23,12 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
-def result(method, test_mae, problem="p", trial=0, total_s=1.0):
-    return TrialResult(Method(method), problem, trial, test_mae, test_mae, total_s)
+def result(method, test_mae, problem="p", total_s=1.0):
+    return TrialResult(Method(method), problem, test_mae, total_s)
 
 
 def test_emit_summary_median_and_single_rank():
-    rows = emit_summary([result("lex", 0.1, trial=0),
-                         result("lex", 0.3, trial=1),
-                         result("lex", 0.2, trial=2)])
+    rows = emit_summary([result("lex", 0.1), result("lex", 0.3), result("lex", 0.2)])
     assert len(rows) == 1
     assert rows[0].median_test_mae == pytest.approx(0.2)
     assert rows[0].rank == 1.0
@@ -47,12 +45,6 @@ def test_emit_summary_tied_medians_share_rank():
     ranks = {r.method: r.rank for r in rows}
     assert ranks["lex"] == ranks["rand"] == 1.5
     assert ranks["tourn"] == 3.0
-
-
-def test_mean_ranks_across_problems():
-    rows = [SummaryRow("lex", "a", 0.1, 1.0, 0.0), SummaryRow("lex", "b", 0.4, 2.0, 0.0),
-            SummaryRow("tourn", "a", 0.2, 2.0, 0.0), SummaryRow("tourn", "b", 0.3, 1.0, 0.0)]
-    assert mean_ranks(rows) == {"lex": 1.5, "tourn": 1.5}
 
 
 def test_run_experiment_writes_expected_files(tmp_path):
@@ -88,7 +80,7 @@ def test_rerun_reproduces_everything_but_wall_clock(tmp_path):
 def test_run_experiment_with_csv_problem_and_parallel_jobs(tmp_path):
     rng = np.random.default_rng(0)
     X = rng.uniform(-1, 1, size=(40, 2))
-    ds = Dataset(X, X[:, 0] * X[:, 1], name="toy")
+    ds = Dataset(X, X[:, 0] * X[:, 1])
     path = tmp_path / "toy.csv"
     save_csv(ds, path)
     config = tiny_config(tmp_path, data=str(path), methods=[Method.RANDOM], jobs=2)
@@ -143,9 +135,15 @@ def test_main_rejects_unknown_problem(capsys):
     ["--jobs", "-1"],
     ["--jobs", "0"],
     ["--split", "0.5"],
+    ["--target", "y"],
+    ["--problem", "uball5d", "--data", "{cfg}"],
+    ["--seed", "-1"],
+    ["--methods", "lex_eps_e", "--eps-e", "nan"],
+    ["--methods", "lex_eps_y", "--eps-y", "nan"],
 ], ids=["unknown_config_key", "zero_population", "negative_generations",
         "tournament_above_population", "negative_jobs", "zero_jobs",
-        "split_without_data"])
+        "split_without_data", "target_without_data", "problem_with_data",
+        "negative_seed", "nan_eps_e", "nan_eps_y"])
 def test_main_rejects_bad_settings_before_any_output(bad, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("bogus = 1\n", encoding="utf-8")
@@ -158,10 +156,12 @@ def test_main_rejects_bad_settings_before_any_output(bad, tmp_path, capsys):
 
 
 def test_main_rejects_missing_data_file(tmp_path, capsys):
+    out = tmp_path / "o"
     code = main(["--data", str(tmp_path / "absent.csv"), "--trials", "1",
-                 "--pop", "8", "--gens", "1", "--out", str(tmp_path / "o")])
+                 "--pop", "8", "--gens", "1", "--out", str(out)])
     assert code == 1
     assert "error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_happy_path(tmp_path, capsys):

@@ -45,7 +45,7 @@ def test_load_csv_missing_target_column(tmp_path):
 
 def test_csv_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
-    ds = Dataset(rng.normal(size=(17, 3)) * 1e3, rng.normal(size=17) / 7.0, name="rt")
+    ds = Dataset(rng.normal(size=(17, 3)) * 1e3, rng.normal(size=17) / 7.0)
     out = tmp_path / "rt.csv"
     save_csv(ds, out)
     back = load_csv(out)
@@ -65,11 +65,12 @@ def test_split_sizes_and_disjointness():
     ds = Dataset(np.arange(20, dtype=float).reshape(10, 2), np.arange(10, dtype=float))
     split = split_normalize(ds, 0.7, np.random.default_rng(2))
     assert split.train.n_rows == 7 and split.test.n_rows == 3
-    # undo target normalization to recover original row identities
-    train_y = split.train.y * split.target_std + split.target_mean
-    test_y = split.test.y * split.target_std + split.target_mean
-    recovered = sorted(np.concatenate([train_y, test_y]).round(9).tolist())
-    assert recovered == ds.y.tolist()
+    # the targets 0..9 normalize to ten evenly spaced values: every row
+    # lands in exactly one split
+    normalized = np.sort(np.concatenate([split.train.y, split.test.y]))
+    steps = np.diff(normalized)
+    assert normalized.shape == (10,) and steps.min() > 0
+    np.testing.assert_allclose(steps, steps[0])
 
 
 def test_split_differs_across_seeds():
@@ -126,6 +127,12 @@ def test_generate_uball5d_default_sizes():
 
 
 def test_generate_uball5d_raw_targets_match_formula():
-    split = generate_uball5d(50, 20, np.random.default_rng(9), normalize=False)
-    np.testing.assert_allclose(split.train.y, uball5d(split.train.X))
-    assert split.train.X.min() >= 0.05 and split.train.X.max() <= 6.05
+    # replay the raw draws from the same seed: the split holds them and
+    # their formula targets, standardized by training statistics
+    rng = np.random.default_rng(9)
+    X_train, X_test = rng.uniform(0.05, 6.05, (50, 5)), rng.uniform(0.05, 6.05, (20, 5))
+    split = generate_uball5d(50, 20, np.random.default_rng(9))
+    y = uball5d(X_train)
+    np.testing.assert_allclose(split.train.y, (y - y.mean()) / y.std())
+    np.testing.assert_allclose(split.train.X, (X_train - X_train.mean(axis=0)) / X_train.std(axis=0))
+    np.testing.assert_allclose(split.test.y, (uball5d(X_test) - y.mean()) / y.std())

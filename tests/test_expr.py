@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexgp.expr import (DEFAULT_OPERATORS, OperatorSet, Program,
                         hill_climb_constants, point_mutation, predict,
@@ -67,13 +71,37 @@ def test_evaluation_is_total_on_adversarial_inputs():
         assert np.isfinite(predict(p, rows)).all()
 
 
+EXTREMES = [0.0, 1e-7, -1e-7, 1.0, -1.0, 1e200, -1e200, 1.7976931348623157e308,
+            -1.7976931348623157e308, 5e-324, -5e-324, 2.2250738585072014e-308]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.lists(st.sampled_from(EXTREMES), min_size=3, max_size=3),
+                min_size=1, max_size=6))
+def test_predict_is_finite_on_extreme_inputs(seed, rows):
+    # random programs over rows mixing 0, +-1e-7, +-1e200 and the finite
+    # extremes of float64: overflow, inf - inf and 0 * inf never escape
+    rng = np.random.default_rng(seed)
+    X = np.array(rows)
+    for _ in range(5):
+        out = predict(random_program((3, 50), OperatorSet(3), rng), X)
+        assert out.shape == (len(rows),) and np.isfinite(out).all()
+
+
+def test_program_is_immutable():
+    p = Program([ADD, 0, 1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.age = 1
+
+
 def test_random_program_respects_size_limits():
     rng = np.random.default_rng(0)
     ops = OperatorSet(2)
     sizes = set()
     for _ in range(10000):
         p = random_program((3, 50), ops, rng)
-        sizes.add(p.size)
+        sizes.add(len(p.nodes))
         for i in p.constants():
             assert -1.0 <= p.nodes[i] <= 1.0
     assert min(sizes) >= 3 and max(sizes) <= 50
@@ -85,7 +113,7 @@ def test_random_program_tight_limit_forces_binary_root():
     ops = OperatorSet(2)
     for _ in range(200):
         p = random_program((3, 3), ops, rng)
-        assert p.size == 3
+        assert len(p.nodes) == 3
         assert p.nodes[0].arity == 2
         assert not isinstance(p.nodes[1], type(p.nodes[0]))
         assert p.age == 0
@@ -122,9 +150,8 @@ def test_crossover_with_itself_at_matching_points_reproduces_parent():
 def test_crossover_age_is_max_of_parents():
     rng = np.random.default_rng(5)
     ops = OperatorSet(2)
-    p1 = random_program((3, 20), ops, rng)
-    p2 = random_program((3, 20), ops, rng)
-    p1.age, p2.age = 4, 7
+    p1 = dataclasses.replace(random_program((3, 20), ops, rng), age=4)
+    p2 = dataclasses.replace(random_program((3, 20), ops, rng), age=7)
     assert subtree_crossover(p1, p2, (3, 50), rng).age == 7
 
 
@@ -136,17 +163,16 @@ def test_crossover_never_violates_size_limits():
         a = pool[int(rng.integers(len(pool)))]
         b = pool[int(rng.integers(len(pool)))]
         child = subtree_crossover(a, b, (3, 50), rng)
-        assert 3 <= child.size <= 50
+        assert 3 <= len(child.nodes) <= 50
 
 
 def test_point_mutation_preserves_size_and_age():
     rng = np.random.default_rng(7)
     ops = OperatorSet(3)
     for _ in range(500):
-        p = random_program((3, 40), ops, rng)
-        p.age = 2
+        p = dataclasses.replace(random_program((3, 40), ops, rng), age=2)
         child = point_mutation(p, ops, rng)
-        assert child.size == p.size
+        assert len(child.nodes) == len(p.nodes)
         assert child.age == 2
         # arity profile unchanged
         for old, new in zip(p.nodes, child.nodes):
@@ -160,7 +186,7 @@ def test_point_mutation_on_constant_keeps_structure():
     ops = OperatorSet(1)
     p = Program([ADD, 0.25, 0])
     child = point_mutation(p, ops, rng)
-    assert child.size == 3
+    assert len(child.nodes) == 3
 
 
 def test_point_mutation_is_seed_deterministic():
@@ -190,7 +216,7 @@ def test_hill_climb_never_worsens_mae():
         q = hill_climb_constants(p, X, y, 0.1, rng)
         after = np.mean(np.abs(predict(q, X) - y))
         assert after <= before + 1e-12
-        assert q.size == p.size
+        assert len(q.nodes) == len(p.nodes)
 
 
 def test_hill_climb_fits_linear_coefficient():

@@ -238,6 +238,26 @@ def test_lexicase_equals_a_full_walk(n, n_cases, data):
     assert fast_rng.random() == slow_rng.random()
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(EPSILON_METHODS)), st.integers(1, 7), st.integers(1, 6),
+       st.data())
+def test_epsilon_winner_is_never_strictly_pass_dominated(method, n, n_cases, data):
+    # if j passes every case the winner passes and one more, j survives
+    # every case alongside the winner and removes it on that extra case
+    values = st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.5, 1.0])
+    errors = data.draw(st.lists(st.lists(values, min_size=n_cases, max_size=n_cases),
+                                min_size=n, max_size=n))
+    em = matrix_from_errors(errors)
+    config = SelectionConfig(method=method, eps_e=data.draw(st.sampled_from([0.0, 0.5, 5.0])),
+                             eps_y=data.draw(st.sampled_from([0.05, 0.1, 0.3])))
+    passes = build_pass_matrix(em, config).passes
+    order = data.draw(st.permutations(range(n_cases)))
+    w = lexicase_select(em, build_pass_matrix(em, config), order,
+                        np.random.default_rng(data.draw(st.integers(0, 99)))).index
+    for j in range(n):
+        assert not ((passes[j] >= passes[w]).all() and (passes[j] > passes[w]).any())
+
+
 def test_lexicase_never_returns_invalid_index():
     rng = np.random.default_rng(10)
     for method in ALL_LEXICASE:
@@ -355,4 +375,7 @@ def test_random_select_seed_reproducible():
 def test_selection_config_validation():
     with pytest.raises(ValueError):
         SelectionConfig(method=Method.LEX, eps_e=-1.0)
+    for bad in ({"eps_e": float("nan")}, {"eps_y": float("nan")}):
+        with pytest.raises(ValueError):
+            SelectionConfig(method=Method.LEX_EPS_E, **bad)
     assert SelectionConfig(method="lex_eps_e").method is Method.LEX_EPS_E
