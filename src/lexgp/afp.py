@@ -34,9 +34,14 @@ def _normalized(points: np.ndarray) -> np.ndarray:
 def _distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     # Objectives live on incomparable scales (integer age vs MAE), so
     # distances are taken on per-objective [0, 1] normalized coordinates.
+    # Squares, sum and root are taken in place, so a block holds two
+    # temporaries of its size rather than five.
     dx = rows[:, 0, None] - cols[None, :, 0]
     dy = rows[:, 1, None] - cols[None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def _dense_ranks(values: np.ndarray) -> np.ndarray:

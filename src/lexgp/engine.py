@@ -10,8 +10,8 @@ import numpy as np
 
 from . import afp as afp_mod
 from .data import SplitDataset
-from .expr import (OperatorSet, Program, hill_climb_constants, point_mutation,
-                   predict, random_program, subtree_crossover)
+from .expr import (EvalMemo, OperatorSet, Program, hill_climb_constants,
+                   point_mutation, predict, random_program, subtree_crossover)
 from .selection import (EPSILON_METHODS, LEXICASE_METHODS, Method, SelectionConfig,
                         build_error_matrix, build_pass_matrix, lexicase_select,
                         random_select, tournament_select)
@@ -74,7 +74,11 @@ def mae(predicted, targets):
     targets = np.asarray(targets, dtype=float)
     if predicted.shape[-1:] != targets.shape:
         raise ValueError(f"length mismatch {predicted.shape} vs {targets.shape}")
-    return np.abs(predicted - targets).mean(axis=-1)
+    # The absolute value is taken in place: at population scale this keeps
+    # one population-sized temporary instead of two.
+    deviation = predicted - targets
+    np.abs(deviation, out=deviation)
+    return deviation.mean(axis=-1)
 
 
 def diversity(outputs) -> float:
@@ -92,10 +96,27 @@ def variation_slots(n_children: int, crossover_fraction: float) -> tuple[int, in
     return n_cross, n_children - n_cross
 
 
-def _predict_population(population, X) -> np.ndarray:
+# Case orders are shuffled this many rows at a time: int64 rows shuffle
+# faster than narrow ones, and each block is narrowed as it is stored.
+ORDER_BLOCK = 128
+
+
+def case_orders(n_orders: int, n_cases: int, rng) -> np.ndarray:
+    """One uniformly shuffled case order per row, the same rows and rng
+    draws as one ``rng.permuted(..., axis=1)`` over the whole int64 table,
+    stored as ``np.min_scalar_type(n_cases)`` (uint16 at 1024 cases)."""
+    orders = np.empty((n_orders, n_cases), dtype=np.min_scalar_type(n_cases))
+    cases = np.arange(n_cases)
+    for start in range(0, n_orders, ORDER_BLOCK):
+        rows = min(ORDER_BLOCK, n_orders - start)
+        orders[start:start + rows] = rng.permuted(np.tile(cases, (rows, 1)), axis=1)
+    return orders
+
+
+def _predict_population(population, X, memo: EvalMemo) -> np.ndarray:
     out = np.empty((len(population), X.shape[0]))
     for i, program in enumerate(population):
-        out[i] = predict(program, X)
+        out[i] = predict(program, X, memo)
     return out
 
 
@@ -112,7 +133,11 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
     Pareto environmental selection; every other method keeps the children.
 
     Every program is evaluated once, when it is created: the training
-    outputs travel with the population, row i belonging to program i.
+    outputs travel with the population, row i belonging to program i. Each
+    generation's evaluations share one EvalMemo, which is dropped before the
+    next generation, and each child is evaluated right after its hill climb,
+    so it reuses the subtree outputs the climb just computed. Evaluation
+    draws nothing from the rng.
     """
     start = time.perf_counter()
     X_train, y_train = split.train.X, split.train.y
@@ -124,11 +149,12 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
     n_cross, n_mut = variation_slots(pop_size, CROSSOVER_FRACTION)
 
     population = [random_program(SIZE_LIMITS, ops, rng) for _ in range(pop_size)]
-    outputs = _predict_population(population, X_train)
+    outputs = _predict_population(population, X_train, EvalMemo(X_train))
 
     def breed(select, events):
         """A full population of children via the crossover/mutation mix,
-        constants tuned; each parent pick is recorded in ``events``."""
+        constants tuned, plus AFP's injected program, with their training
+        outputs; each parent pick is recorded in ``events``."""
         def parent():
             events.append(select())
             return population[events[-1].index]
@@ -136,8 +162,16 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
         children = [subtree_crossover(parent(), parent(), SIZE_LIMITS, rng)
                     for _ in range(n_cross)]
         children += [point_mutation(parent(), ops, rng) for _ in range(n_mut)]
-        return [hill_climb_constants(c, X_train, y_train, HILL_CLIMB_SCALE, rng)
-                for c in children]
+        memo = EvalMemo(X_train)
+        child_outputs = np.empty((len(children) + afp, n_cases))
+        for i, child in enumerate(children):
+            children[i] = hill_climb_constants(child, X_train, y_train,
+                                               HILL_CLIMB_SCALE, rng, memo)
+            child_outputs[i] = predict(children[i], X_train, memo)
+        if afp:
+            children.append(random_program(SIZE_LIMITS, ops, rng))
+            child_outputs[-1] = predict(children[-1], X_train, memo)
+        return children, child_outputs
 
     records: list[GenerationRecord] = []
     for gen in range(config.generations):
@@ -152,18 +186,14 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
         if method in LEXICASE_METHODS:
             passes = (build_pass_matrix(errors, config.selection)
                       if method in EPSILON_METHODS else None)
-            orders = iter(rng.permuted(
-                np.tile(np.arange(n_cases), (2 * n_cross + n_mut, 1)), axis=1))
+            orders = iter(case_orders(2 * n_cross + n_mut, n_cases, rng))
             select = lambda: lexicase_select(errors, passes, next(orders), rng)
         elif method is Method.TOURNAMENT:
             select = lambda: tournament_select(errors.aggregate, TOURNAMENT_SIZE, rng, n_cases)
         else:
             select = lambda: random_select(pop_size, rng)
         events = []
-        next_population = breed(select, events)
-        if afp:
-            next_population.append(random_program(SIZE_LIMITS, ops, rng))
-        next_outputs = _predict_population(next_population, X_train)
+        next_population, next_outputs = breed(select, events)
         maes = mae(next_outputs, y_train)
 
         if afp:

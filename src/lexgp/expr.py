@@ -11,6 +11,8 @@ a finite output for any finite input row.
 
 from __future__ import annotations
 
+import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,9 +29,11 @@ GUARD = 1e-6
 
 def _div(a, b):
     """Division returning 1.0 wherever the denominator is near zero."""
-    near_zero = np.abs(b) < GUARD
-    safe = np.where(near_zero, 1.0, b)
-    return np.where(near_zero, 1.0, np.divide(a, safe))
+    # One division, then the fallback written over the guarded entries; a
+    # 0-d quotient becomes a 0-d array so that copyto can write into it.
+    out = np.asarray(np.divide(a, b))
+    np.copyto(out, 1.0, where=np.abs(b) < GUARD)
+    return out
 
 
 def _exp(a):
@@ -40,8 +44,9 @@ def _exp(a):
 def _log(a):
     """log(|a|), returning 0.0 wherever |a| is near zero."""
     mag = np.abs(a)
-    small = mag < GUARD
-    return np.where(small, 0.0, np.log(np.where(small, 1.0, mag)))
+    out = np.asarray(np.log(mag))
+    np.copyto(out, 0.0, where=mag < GUARD)
+    return out
 
 
 @dataclass(frozen=True)
@@ -141,28 +146,130 @@ def subtree_span(nodes, start: int) -> int:
     return i
 
 
-def predict(program: Program, X) -> np.ndarray:
+# An EvalMemo's value budget: 256 output vectors, and never more than
+# 2 MiB (256 vectors of 1024 rows).
+MEMO_VECTORS = 256
+MEMO_BYTES = MEMO_VECTORS * 1024 * 8
+# Interned subtree ids an EvalMemo keeps before it starts over.
+MEMO_IDS = 1 << 12
+
+_FLOAT_BITS = struct.Struct("<d")
+
+
+class EvalMemo:
+    """Outputs of array-valued subtrees on one feature matrix, shared by the
+    ``predict`` calls that pass the memo.
+
+    Every subtree gets an integer id interned on its content: an operator
+    node is keyed by its operator's function and its children's ids, a
+    feature leaf by ("x", index) and a constant leaf by ("c", its exact
+    bits), so feature 1 never matches constant 1.0 and 0.0 never matches
+    -0.0. Only array-valued outputs are stored, read-only, and the least
+    recently used are evicted to keep them within ``max_bytes``:
+    MEMO_VECTORS output vectors, and at most MEMO_BYTES. Constant-only
+    subtrees stay numpy scalars and are recomputed. The id table holds at
+    most ``max_ids`` = MEMO_IDS ids (or one program's, if that is more): a
+    program that would overflow it first clears ids and values together.
+
+    The memo is bound to ``X``, which must not change while the memo is used.
+    """
+
+    def __init__(self, X):
+        self._source = X
+        self.X = np.asarray(X, dtype=float)
+        self.max_bytes = min(MEMO_BYTES, MEMO_VECTORS * self.X.shape[0] * 8)
+        self.max_ids = MEMO_IDS
+        self.nbytes = 0
+        self._ids: dict = {}
+        self._values: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._columns = [self.X[:, k] for k in range(self.X.shape[1])]
+
+    def clear(self) -> None:
+        self._ids.clear()
+        self._values.clear()
+        self.nbytes = 0
+
+    def _store(self, key: int, out: np.ndarray) -> None:
+        if out.nbytes > self.max_bytes:
+            return
+        out.flags.writeable = False
+        self._values[key] = out
+        self.nbytes += out.nbytes
+        while self.nbytes > self.max_bytes:
+            self.nbytes -= self._values.popitem(last=False)[1].nbytes
+
+    def evaluate(self, nodes):
+        """Raw output of a prefix node list; an operator node whose subtree
+        output is stored is not computed again."""
+        ids, values, columns = self._ids, self._values, self._columns
+        if len(ids) + len(nodes) > self.max_ids:
+            self.clear()
+        # The scan of _evaluate, with a parallel stack of subtree ids.
+        id_stack, stack = [], []
+        for node in reversed(nodes):
+            if isinstance(node, Operator):
+                if node.arity == 1:
+                    key = (node.fn, id_stack.pop())
+                else:
+                    key = (node.fn, id_stack.pop(), id_stack.pop())
+                nid = ids.get(key)
+                if nid is None:
+                    nid = ids[key] = len(ids)
+                out = values.get(nid)
+                if out is None:
+                    if node.arity == 1:
+                        out = node.fn(stack.pop())
+                    else:
+                        out = node.fn(stack.pop(), stack.pop())
+                    if np.ndim(out):
+                        self._store(nid, out)
+                else:
+                    values.move_to_end(nid)
+                    del stack[-node.arity:]
+            else:
+                if isinstance(node, int):
+                    key, out = ("x", node), columns[node]
+                else:
+                    key, out = ("c", _FLOAT_BITS.pack(node)), node
+                nid = ids.get(key)
+                if nid is None:
+                    nid = ids[key] = len(ids)
+            id_stack.append(nid)
+            stack.append(out)
+        return stack.pop()
+
+
+def _evaluate(nodes, X):
+    """Raw output of a prefix node list, every node computed."""
+    stack = []
+    # Prefix order scanned right to left: operands are on the stack by the
+    # time their operator appears, first pop being the left operand.
+    for node in reversed(nodes):
+        if isinstance(node, Operator):
+            if node.arity == 1:
+                stack.append(node.fn(stack.pop()))
+            else:
+                stack.append(node.fn(stack.pop(), stack.pop()))
+        elif isinstance(node, int):
+            stack.append(X[:, node])
+        else:
+            stack.append(node)
+    return stack.pop()
+
+
+def predict(program: Program, X, memo: EvalMemo | None = None) -> np.ndarray:
     """Evaluate a program on every row of an N x D feature matrix.
 
     The result is always finite: overflow in an arithmetic chain (and any
     NaN it could spawn) is mapped back into [-VALUE_LIMIT, VALUE_LIMIT].
+    With a memo bound to ``X``, stored subtree outputs are reused and the
+    result is bit-identical; it may then be a read-only array the memo holds.
     """
-    X = np.asarray(X, dtype=float)
-    stack = []
-    # Prefix order scanned right to left: operands are on the stack by the
-    # time their operator appears, first pop being the left operand.
+    if memo is not None and X is not memo._source and X is not memo.X:
+        raise ValueError("the memo is bound to another feature matrix")
+    X = memo.X if memo is not None else np.asarray(X, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for node in reversed(program.nodes):
-            if isinstance(node, Operator):
-                if node.arity == 1:
-                    stack.append(node.fn(stack.pop()))
-                else:
-                    stack.append(node.fn(stack.pop(), stack.pop()))
-            elif isinstance(node, int):
-                stack.append(X[:, node])
-            else:
-                stack.append(node)
-    out = stack.pop()
+        out = _evaluate(program.nodes, X) if memo is None else memo.evaluate(program.nodes)
     if np.ndim(out) == 0:
         out = np.full(X.shape[0], float(out))
     else:
@@ -258,23 +365,25 @@ def point_mutation(parent: Program, ops: OperatorSet, rng) -> Program:
     return Program(nodes, age=parent.age)
 
 
-def hill_climb_constants(program: Program, X, y, noise_scale: float, rng) -> Program:
+def hill_climb_constants(program: Program, X, y, noise_scale: float, rng,
+                         memo: EvalMemo | None = None) -> Program:
     """One constant-tuning pass: perturb every constant with Gaussian noise
     and keep the batch only if the training MAE improves.
 
     Noise scale is relative, stddev = noise_scale * (1 + |c|), so constants
     of any magnitude get meaningful proposals. Programs without constants
-    are returned unchanged.
+    are returned unchanged. A memo bound to ``X`` lets the candidate reuse
+    the outputs of the subtrees it shares with the program.
     """
     positions = program.constants()
     if not positions:
         return program
     y = np.asarray(y, dtype=float)
-    base = float(np.mean(np.abs(predict(program, X) - y)))
+    base = float(np.mean(np.abs(predict(program, X, memo) - y)))
     nodes = list(program.nodes)
     for i in positions:
         c = nodes[i]
         nodes[i] = float(c + rng.normal(0.0, noise_scale * (1.0 + abs(c))))
     candidate = Program(nodes, age=program.age)
-    trial = float(np.mean(np.abs(predict(candidate, X) - y)))
+    trial = float(np.mean(np.abs(predict(candidate, X, memo) - y)))
     return candidate if trial < base else program

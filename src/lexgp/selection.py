@@ -61,8 +61,11 @@ class SelectionConfig:
 
     def __post_init__(self):
         self.method = Method(self.method)
-        if not (self.eps_e >= 0 and self.eps_y >= 0):  # NaN fails too
-            raise ValueError("epsilon values must be >= 0")
+        # An infinite eps_e would put the threshold 0 * inf = NaN on a case
+        # whose best error is 0, so that case's elite would fail it; NaN
+        # fails the comparisons too.
+        if not all(0 <= eps < np.inf for eps in (self.eps_e, self.eps_y)):
+            raise ValueError("epsilon values must be finite and >= 0")
 
 
 def mad(values, axis=None):

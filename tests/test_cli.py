@@ -140,15 +140,21 @@ def test_main_rejects_unknown_problem(capsys):
     ["--seed", "-1"],
     ["--methods", "lex_eps_e", "--eps-e", "nan"],
     ["--methods", "lex_eps_y", "--eps-y", "nan"],
+    ["--methods", "lex_eps_e", "--eps-e", "inf"],
+    ["--methods", "lex_eps_y", "--eps-y", "inf"],
 ], ids=["unknown_config_key", "zero_population", "negative_generations",
         "tournament_above_population", "negative_jobs", "zero_jobs",
         "split_without_data", "target_without_data", "problem_with_data",
-        "negative_seed", "nan_eps_e", "nan_eps_y"])
+        "negative_seed", "nan_eps_e", "nan_eps_y", "inf_eps_e", "inf_eps_y"])
 def test_main_rejects_bad_settings_before_any_output(bad, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("bogus = 1\n", encoding="utf-8")
     out = tmp_path / "o"
-    code = main([arg.format(cfg=cfg) for arg in bad] + ["--trials", "1", "--out", str(out)])
+    # A small run comes first, so a rejection that regresses fails fast on
+    # the exit code; argparse lets each case's later flags win, so
+    # zero_population still asks for --pop 0.
+    code = main(["--pop", "8", "--gens", "1"] + [arg.format(cfg=cfg) for arg in bad]
+                + ["--trials", "1", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

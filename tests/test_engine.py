@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from lexgp import afp, engine
+from lexgp import afp, engine, expr
 from lexgp.data import generate_uball5d
-from lexgp.engine import (EngineConfig, diversity, mae, run_trial,
+from lexgp.engine import (EngineConfig, case_orders, diversity, mae, run_trial,
                           variation_slots)
 from lexgp.expr import Operator
 from lexgp.selection import Method, SelectionConfig
@@ -73,6 +73,17 @@ def test_mae_values():
     assert mae([-1.0], [1.0]) == 2.0
     with pytest.raises(ValueError):
         mae([1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("n_orders, n_cases", [(1, 7), (300, 7), (129, 300), (257, 1024),
+                                              (3, 40000)])
+def test_case_orders_draw_as_one_permuted_table(n_orders, n_cases):
+    rng_a, rng_b = np.random.default_rng(n_cases), np.random.default_rng(n_cases)
+    orders = case_orders(n_orders, n_cases, rng_a)
+    table = rng_b.permuted(np.tile(np.arange(n_cases), (n_orders, 1)), axis=1)
+    assert orders.dtype == np.min_scalar_type(n_cases)
+    np.testing.assert_array_equal(orders, table)
+    assert rng_a.random() == rng_b.random()
 
 
 def test_diversity_counts_distinct_output_vectors():
@@ -189,7 +200,8 @@ def test_run_trial_evaluates_each_program_once(method, golden_split, monkeypatch
     # Hill climbing's own calls go through lexgp.expr.predict, not counted.
     calls = []
     real_predict = engine.predict
-    monkeypatch.setattr(engine, "predict", lambda p, X: calls.append(1) or real_predict(p, X))
+    monkeypatch.setattr(engine, "predict",
+                        lambda p, X, memo=None: calls.append(1) or real_predict(p, X, memo))
     pools = []
     real_select = afp.environmental_select
     monkeypatch.setattr(afp, "environmental_select",
@@ -202,3 +214,24 @@ def test_run_trial_evaluates_each_program_once(method, golden_split, monkeypatch
     else:
         assert len(calls) == P + G * P + 1
         assert pools == []
+
+
+@pytest.mark.parametrize("method", [Method.LEX_EPS_E_MAD, Method.AFP])
+def test_run_trial_shares_one_memo_per_generation(method, golden_split, monkeypatch):
+    # The initial population and each generation's children, hill-climb
+    # candidates included, share one memo bound to the training matrix; no
+    # memo outlives its generation, and the test split is scored without one.
+    memos = []
+    for module in (engine, expr):
+        real = getattr(module, "predict")
+        monkeypatch.setattr(module, "predict", lambda p, X, memo=None, real=real:
+                            memos.append(memo) or real(p, X, memo))
+    golden_trial(method, golden_split)
+    assert memos[-1] is None
+    runs = [memos[0]]
+    for memo in memos[1:-1]:
+        if memo is not runs[-1]:
+            runs.append(memo)
+    assert len(runs) == GOLDEN_GENS + 1
+    assert len({id(memo) for memo in runs}) == len(runs)
+    assert all(memo.X is golden_split.train.X for memo in runs)

@@ -1,12 +1,14 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexgp.expr import (DEFAULT_OPERATORS, OperatorSet, Program,
-                        hill_climb_constants, point_mutation, predict,
+from lexgp import expr
+from lexgp.expr import (DEFAULT_OPERATORS, GUARD, EvalMemo, OperatorSet, Program,
+                        _div, _log, hill_climb_constants, point_mutation, predict,
                         random_program, subtree_crossover, subtree_span)
 
 ADD, SUB, MUL, DIV, SIN, COS, EXP, LOG = DEFAULT_OPERATORS
@@ -87,6 +89,147 @@ def test_predict_is_finite_on_extreme_inputs(seed, rows):
     for _ in range(5):
         out = predict(random_program((3, 50), OperatorSet(3), rng), X)
         assert out.shape == (len(rows),) and np.isfinite(out).all()
+
+
+def div_reference(a, b):
+    """The protected division as first written: the bit-for-bit reference."""
+    near_zero = np.abs(b) < GUARD
+    safe = np.where(near_zero, 1.0, b)
+    return np.where(near_zero, 1.0, np.divide(a, safe))
+
+
+def log_reference(a):
+    """The protected log as first written: the bit-for-bit reference."""
+    mag = np.abs(a)
+    small = mag < GUARD
+    return np.where(small, 0.0, np.log(np.where(small, 1.0, mag)))
+
+
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+            2.2250738585072014e-308, GUARD, -GUARD, np.nextafter(GUARD, 0.0), 1.0,
+            -3.0, 1e308, -1e308]
+
+
+def test_div_and_log_match_their_reference_formulas():
+    a, b = (v.ravel() for v in np.meshgrid(SPECIALS, SPECIALS))
+    with np.errstate(all="ignore"):
+        assert _div(a, b).tobytes() == div_reference(a, b).tobytes()
+        assert _log(a).tobytes() == log_reference(a).tobytes()
+        for x in SPECIALS:
+            # 0-d operands (constant-only subtrees) and mixed scalar/array
+            got, want = _log(x), log_reference(x)
+            assert got.shape == want.shape == () and got.tobytes() == want.tobytes()
+            assert _div(x, b).tobytes() == div_reference(x, b).tobytes()
+            assert _div(a, x).tobytes() == div_reference(a, x).tobytes()
+            for y in SPECIALS:
+                got, want = _div(x, y), div_reference(x, y)
+                assert got.shape == want.shape == () and got.tobytes() == want.tobytes()
+
+
+def memo_sequence(rng, ops):
+    """Programs in the order a generation meets them: random programs,
+    crossover children and mutants of earlier ones, and hill-climb
+    candidates, next to look-alike leaves that a memo must keep apart."""
+    programs = [
+        Program([ADD, 0, 1]), Program([ADD, 0, 1.0]), Program([MUL, 1, 1.0]),
+        Program([MUL, 1.0, 1]), Program([SIN, MUL, 1, 1]), Program([SIN, MUL, 1.0, 1]),
+        Program([MUL, 0, 0.0]), Program([MUL, 0, -0.0]), Program([SUB, MUL, 0, -0.0, 2]),
+        Program([SUB, MUL, 0, 0.0, 2]), Program([DIV, 1.0, MUL, 0.0, 0]),
+    ]
+    for _ in range(12):
+        programs.append(random_program((3, 50), ops, rng))
+        a = programs[int(rng.integers(len(programs)))]
+        b = programs[int(rng.integers(len(programs)))]
+        programs.append(subtree_crossover(a, b, (3, 50), rng))
+        programs.append(point_mutation(programs[-1], ops, rng))
+        # a hill-climb candidate: the same tree with every constant moved
+        nodes = [n + float(rng.normal()) if isinstance(n, float) else n
+                 for n in programs[-1].nodes]
+        programs.append(Program(nodes))
+    return programs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.lists(st.sampled_from(EXTREMES), min_size=3, max_size=3),
+                min_size=1, max_size=6),
+       st.sampled_from([0, 3, expr.MEMO_VECTORS]), st.sampled_from([60, expr.MEMO_IDS]))
+def test_memo_predict_bit_equals_plain_predict(seed, rows, vectors, max_ids):
+    # one memo across the whole sequence; small budgets force evictions
+    # and clears of the id table
+    rng = np.random.default_rng(seed)
+    X = np.array(rows)
+    with mock.patch.multiple(expr, MEMO_VECTORS=vectors, MEMO_IDS=max_ids):
+        memo = EvalMemo(X)
+    for p in memo_sequence(rng, OperatorSet(3)):
+        assert predict(p, X, memo).tobytes() == predict(p, X).tobytes(), str(p)
+        assert memo.nbytes <= memo.max_bytes and len(memo._ids) <= memo.max_ids
+
+
+def test_hill_climb_with_a_memo_matches_the_plain_climb():
+    rng = np.random.default_rng(15)
+    ops = OperatorSet(2)
+    X = rng.normal(size=(30, 2))
+    y = rng.normal(size=30)
+    memo = EvalMemo(X)
+    for seed in range(100):
+        p = random_program((3, 30), ops, rng)
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert hill_climb_constants(p, X, y, 0.1, rng_a, memo) == \
+            hill_climb_constants(p, X, y, 0.1, rng_b)
+        assert rng_a.random() == rng_b.random()
+
+
+def test_memo_bytes_stay_within_budget():
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(64, 3))
+    with mock.patch.object(expr, "MEMO_VECTORS", 5):
+        memo = EvalMemo(X)
+    most = 0
+    for _ in range(300):
+        predict(random_program((3, 50), OperatorSet(3), rng), X, memo)
+        assert memo.nbytes == sum(v.nbytes for v in memo._values.values())
+        most = max(most, memo.nbytes)
+    assert most == memo.max_bytes == 5 * 64 * 8  # used, and never exceeded
+
+
+def test_memo_clears_ids_and_values_together():
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(16, 3))
+    with mock.patch.object(expr, "MEMO_IDS", 80):
+        memo = EvalMemo(X)
+    for _ in range(300):
+        predict(random_program((3, 50), OperatorSet(3), rng), X, memo)
+        assert len(memo._ids) <= 80
+        # every stored output belongs to an id of the current table
+        assert all(key < len(memo._ids) for key in memo._values)
+    memo.clear()
+    assert (memo._ids, len(memo._values), memo.nbytes) == ({}, 0, 0)
+
+
+def test_memo_arrays_are_read_only():
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(8, 3))
+    memo = EvalMemo(X)
+    for _ in range(50):
+        predict(random_program((3, 50), OperatorSet(3), rng), X, memo)
+    assert memo._values
+    for value in memo._values.values():
+        assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[0] = 0.0
+
+
+def test_memo_is_bound_to_its_matrix():
+    X = np.arange(6.0).reshape(3, 2)
+    memo = EvalMemo(X)
+    p = Program([SIN, ADD, 0, 1])
+    predict(p, X, memo)
+    with pytest.raises(ValueError, match="another feature matrix"):
+        predict(p, X.copy(), memo)
+    rows = X.tolist()
+    listed = EvalMemo(rows)
+    assert predict(p, rows, listed).tobytes() == predict(p, X).tobytes()
 
 
 def test_program_is_immutable():

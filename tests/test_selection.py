@@ -109,6 +109,22 @@ def test_pass_matrix_band_methods_always_keep_the_case_best():
             assert pm.passes[elite_rows, np.arange(5)].all()
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([Method.LEX_EPS_E, Method.LEX_EPS_E_MAD]),
+       st.floats(0.0, 1.7976931348623157e308), st.integers(1, 6), st.integers(1, 5),
+       st.data())
+def test_every_band_threshold_keeps_each_case_elite(method, eps_e, n, n_cases, data):
+    # zero best errors (where eps_e = inf once gave the threshold 0 * inf =
+    # NaN) and errors near the float maximum, at any finite eps_e
+    values = st.sampled_from([0.0, 5e-324, 1e-7, 0.5, 1.0, 1e200, 1.7976931348623157e308])
+    errors = data.draw(st.lists(st.lists(values, min_size=n_cases, max_size=n_cases),
+                                min_size=n, max_size=n))
+    em = matrix_from_errors(errors)
+    with np.errstate(over="ignore"):
+        passes = build_pass_matrix(em, SelectionConfig(method=method, eps_e=eps_e)).passes
+    assert passes[em.errors.argmin(axis=0), np.arange(n_cases)].all()
+
+
 def test_pass_matrix_eps_monotone_in_epsilon():
     rng = np.random.default_rng(2)
     em = matrix_from_errors(rng.uniform(size=(8, 6)))
@@ -375,7 +391,8 @@ def test_random_select_seed_reproducible():
 def test_selection_config_validation():
     with pytest.raises(ValueError):
         SelectionConfig(method=Method.LEX, eps_e=-1.0)
-    for bad in ({"eps_e": float("nan")}, {"eps_y": float("nan")}):
+    for bad in ({"eps_e": float("nan")}, {"eps_y": float("nan")},
+                {"eps_e": float("inf")}, {"eps_y": float("inf")}):
         with pytest.raises(ValueError):
             SelectionConfig(method=Method.LEX_EPS_E, **bad)
     assert SelectionConfig(method="lex_eps_e").method is Method.LEX_EPS_E
