@@ -149,6 +149,14 @@ def emit_summary(results: list[TrialResult]) -> list[SummaryRow]:
     return rows
 
 
+def _available_cores() -> int:
+    """The cores this process may run on, which an affinity mask or a
+    container's cpuset can make fewer than the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
     """Run the full method x trial matrix and write all output files."""
     # A missing or malformed CSV fails before any output exists.
@@ -158,7 +166,7 @@ def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
 
     tasks = [(config, dataset, method, trial)
              for method in config.methods for trial in range(config.trials)]
-    jobs = config.jobs or os.cpu_count() or 1
+    jobs = config.jobs or _available_cores()
     results = []
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

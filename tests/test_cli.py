@@ -89,6 +89,20 @@ def test_run_experiment_with_csv_problem_and_parallel_jobs(tmp_path):
     assert (tmp_path / "out" / "rand_trial000.csv").exists()
 
 
+def test_default_jobs_counts_usable_cores_not_host_cores(tmp_path, monkeypatch):
+    # one usable core on a many-core host: the default must not start a pool
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a one-core run started a process pool")
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    monkeypatch.setattr("lexgp.cli.ProcessPoolExecutor", NoPool)
+    summary = run_experiment(tiny_config(tmp_path, jobs=None))
+    assert summary[0].method == "lex"
+    assert (tmp_path / "out" / "lex_trial001.csv").exists()
+
+
 def test_parse_config_flags_override_file(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(

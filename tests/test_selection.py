@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,9 +48,13 @@ def test_mad_even_length_uses_middle_mean():
 
 
 def test_error_matrix_values():
-    em = build_error_matrix(np.array([[1.0, 2.0]]), np.array([0.0, 0.0]))
+    outputs = np.array([[1.0, 2.0]])
+    em = build_error_matrix(outputs, np.array([0.0, 0.0]))
     assert em.errors.tolist() == [[1.0, 2.0]]
     assert em.aggregate.tolist() == [1.5]
+    em = build_error_matrix(outputs, np.array([3.0, 0.5]))
+    assert em.errors.tolist() == [[2.0, 1.5]]
+    assert outputs.tolist() == [[1.0, 2.0]]  # the outputs are not overwritten
 
     em = build_error_matrix(np.array([[1.0, 3.0], [2.0, 0.0]]), np.zeros(2))
     assert em.case_elite.tolist() == [1.0, 0.0]
@@ -63,6 +69,43 @@ def test_error_matrix_column_mad_matches_scalar_mad():
     em = matrix_from_errors(errors)
     for t in range(6):
         assert em.case_mad[t] == pytest.approx(mad(errors[:, t]))
+
+
+def reference_mad(values, axis=None):
+    """The MAD written with two ``np.median`` calls."""
+    v = np.asarray(values, dtype=float)
+    deviation = v - np.median(v, axis=axis, keepdims=True)
+    np.abs(deviation, out=deviation)
+    spread = np.median(deviation, axis=axis, overwrite_input=True)
+    return float(spread) if axis is None else spread
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+MAD_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+                   2.5, 1.7976931348623157e308, -1.7976931348623157e308,
+                   np.inf, -np.inf]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 7), st.integers(1, 7), st.booleans(), st.data())
+def test_mad_bit_equals_the_np_median_formula(n_rows, n_cols, with_nan, data):
+    # (P, 1), (1, N) and 1 x 1 shapes, odd and even lengths on both axes
+    values = st.one_of(st.sampled_from(MAD_EDGE_VALUES + [np.nan] * with_nan),
+                       st.floats(-4.0, 4.0))
+    v = np.array(data.draw(st.lists(st.lists(values, min_size=n_cols, max_size=n_cols),
+                                    min_size=n_rows, max_size=n_rows)))
+    before = v.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for axis in (None, 0, 1):
+            assert (bits(mad(v, axis)) == bits(reference_mad(v, axis))).all(), axis
+        em = matrix_from_errors(v)
+        errors = em.errors.copy()
+        assert (bits(em.case_mad) == bits(reference_mad(errors, axis=0))).all()
+    assert (bits(em.errors) == bits(errors)).all()
+    assert (bits(v) == bits(before)).all()
 
 
 def test_error_matrix_guards_against_overflowing_aggregates():
@@ -222,12 +265,19 @@ def test_lexicase_continuous_errors_resolve_after_one_case():
         assert ev.cases_examined == 1 and not ev.tie_break
 
 
-def reference_lexicase(errors, order, rng):
-    """Standard lexicase as a plain walk over every case of the order."""
+def reference_lexicase(errors, passes, order, rng):
+    """Lexicase as a plain walk over every case of the order: pool-relative
+    elites without a pass matrix, passers with one, skipping a case that no
+    one in the pool passes."""
     pool = list(range(len(errors)))
     for examined, t in enumerate(order, start=1):
-        best = min(errors[i][t] for i in pool)
-        pool = [i for i in pool if errors[i][t] == best]
+        if passes is None:
+            best = min(errors[i][t] for i in pool)
+            pool = [i for i in pool if errors[i][t] == best]
+        elif any(passes[i][t] for i in pool):
+            pool = [i for i in pool if passes[i][t]]
+        else:
+            continue
         if len(pool) == 1:
             return pool[0], examined, False
     return pool[int(len(pool) * rng.random())], len(order), True
@@ -238,19 +288,30 @@ def test_twin_masks_group_equal_error_rows():
     assert em._twin_masks == [0b01101, 0b10010, 0b01101, 0b01101, 0b10010]
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.integers(1, 8), st.integers(1, 6), st.data())
-def test_lexicase_equals_a_full_walk(n, n_cases, data):
+def test_pass_twin_masks_group_equal_pass_rows():
+    em = matrix_from_errors([[0.0, 2.0], [0.05, 2.0], [0.5, 0.0], [1.0, 2.0]])
+    pm = build_pass_matrix(em, SelectionConfig(method=Method.LEX_EPS_Y, eps_y=0.1))
+    # rows 0 and 1 pass case 0 only; rows 2 and 3 differ on case 1
+    assert pm._twin_masks == [0b0011, 0b0011, 0b0100, 0b1000]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(ALL_LEXICASE), st.integers(1, 8), st.integers(1, 6), st.data())
+def test_lexicase_equals_a_full_walk(method, n, n_cases, data):
     # few distinct rows and values, so pools often end as one twin class
     distinct = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=n_cases,
                                            max_size=n_cases), min_size=1, max_size=3))
     rows = [distinct[data.draw(st.integers(0, len(distinct) - 1))] for _ in range(n)]
     order = data.draw(st.permutations(range(n_cases)))
     em = matrix_from_errors(rows)
+    passes = None
+    if method in EPSILON_METHODS:
+        passes = build_pass_matrix(em, SelectionConfig(method=method, eps_e=0.5, eps_y=1.5))
     fast_rng, slow_rng = np.random.default_rng(0), np.random.default_rng(0)
-    ev = lexicase_select(em, None, order, fast_rng)
-    assert (ev.index, ev.cases_examined, ev.tie_break) == \
-        reference_lexicase(em.errors.tolist(), order, slow_rng)
+    ev = lexicase_select(em, passes, order, fast_rng)
+    assert (ev.index, ev.cases_examined, ev.tie_break) == reference_lexicase(
+        em.errors.tolist(), None if passes is None else passes.passes.tolist(),
+        order, slow_rng)
     assert fast_rng.random() == slow_rng.random()
 
 
@@ -314,6 +375,39 @@ def test_exact_probabilities_sum_to_one():
         em = matrix_from_errors(rng.uniform(size=(5, 4)))
         probs = exact_selection_probabilities(em, SelectionConfig(method=method))
         assert probs.sum() == pytest.approx(1.0)
+
+
+class GridRng:
+    """Stub rng whose random() returns (k + 1/2) / 60: over k = 0..59 every
+    pool of at most 5 programs is split into exactly equal tie-break shares."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def random(self):
+        return (self.k + 0.5) / 60
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(ALL_LEXICASE), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_lexicase_select_matches_the_exact_oracle(method, n, n_cases, data):
+    errors = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n_cases,
+                                         max_size=n_cases), min_size=n, max_size=n))
+    em = matrix_from_errors(errors)
+    config = SelectionConfig(method=method, eps_e=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+                             eps_y=data.draw(st.sampled_from([0.5, 1.5, 2.5])))
+    passes = build_pass_matrix(em, config) if method in EPSILON_METHODS else None
+    orders = list(itertools.permutations(range(n_cases)))
+    counts = np.zeros(n)
+    for order in orders:
+        for k in range(60):
+            ev = lexicase_select(em, passes, order, GridRng(k))
+            if not ev.tie_break:
+                counts[ev.index] += 60
+                break
+            counts[ev.index] += 1
+    np.testing.assert_allclose(counts / (60 * len(orders)),
+                               exact_selection_probabilities(em, config), rtol=0, atol=1e-12)
 
 
 def test_exact_probabilities_guards_factorial_blowup():
