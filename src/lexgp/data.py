@@ -59,9 +59,10 @@ class SplitDataset:
 def load_csv(path, target: str | None = None) -> Dataset:
     """Read a comma-separated file with a header row into a Dataset.
 
-    The target column is selected by name, defaulting to the last column.
-    Every cell must parse as a finite real; violations raise LoadError
-    naming the offending row and column.
+    The target column is selected by name, defaulting to the last column;
+    column names must be distinct after stripping whitespace. Every cell
+    must parse as a finite real; violations raise LoadError naming the
+    offending row and column.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -69,6 +70,13 @@ def load_csv(path, target: str | None = None) -> Dataset:
     if not rows:
         raise LoadError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
+    seen = set()
+    for name in header:
+        if name in seen:
+            # header.index would take the first copy, and a second copy of
+            # the target would silently become a feature.
+            raise LoadError(f"{path}: duplicate column name {name!r}")
+        seen.add(name)
     if len(header) < 2:
         raise LoadError(f"{path}: need at least one feature column and a target")
     if target is None:

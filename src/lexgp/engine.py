@@ -81,13 +81,12 @@ def mae(predicted, targets):
     return deviation.mean(axis=-1)
 
 
-def diversity(outputs) -> float:
-    """Fraction of bitwise-distinct output vectors in the population."""
-    outputs = np.asarray(outputs, dtype=float)
-    if outputs.shape[0] < 1:
+def diversity(output_twins) -> float:
+    """Fraction of bitwise-distinct output vectors in the population: the
+    classes of ``ErrorMatrix.output_twins``, one mask each."""
+    if not output_twins:
         raise ValueError("empty population")
-    distinct = {row.tobytes() for row in outputs}
-    return len(distinct) / outputs.shape[0]
+    return len(set(output_twins)) / len(output_twins)
 
 
 def variation_slots(n_children: int, crossover_fraction: float) -> tuple[int, int]:
@@ -179,7 +178,7 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
         errors = build_error_matrix(outputs, y_train)
         best_idx = int(np.argmin(errors.aggregate))
         best_mae = float(errors.aggregate[best_idx])
-        unique_fraction = diversity(outputs)
+        unique_fraction = diversity(errors.output_twins)
 
         # One parent pick per call: lexicase over pre-drawn case orders, a
         # tournament, or a uniform pick for rand and afp.

@@ -117,17 +117,26 @@ def _median_rows(rows: np.ndarray) -> np.ndarray:
 
 def _pack_columns(matrix: np.ndarray) -> list[int]:
     """One bitmask per column; bit i is set when matrix[i, col] is true."""
-    packed = np.packbits(matrix.T.astype(np.uint8), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    packed = np.packbits(matrix, axis=0, bitorder="little").T
+    return [int.from_bytes(column.tobytes(), "little") for column in packed]
 
 
-def _twin_masks(matrix: np.ndarray) -> list[int]:
-    """Per row, the mask of the rows bitwise equal to it, itself included."""
-    keys = [row.tobytes() for row in matrix]
-    classes: dict[bytes, int] = {}
-    for i, key in enumerate(keys):
-        classes[key] = classes.get(key, 0) | (1 << i)
-    return [classes[key] for key in keys]
+def twin_masks(rows: np.ndarray) -> list[int]:
+    """Per row, the mask of the rows bitwise equal to it, itself included.
+    Rows are bucketed by the hash of their bytes, which are freed before the
+    next row; a bucket confirms equality on bytes, so 0.0 and -0.0 differ."""
+    buckets: dict[int, list[int]] = {}
+    firsts = []                  # per row, the first row of its class
+    masks = [0] * len(rows)
+    for i, row in enumerate(rows):
+        data = row.tobytes()
+        bucket = buckets.setdefault(hash(data), [])
+        first = next((j for j in bucket if rows[j].tobytes() == data), i)
+        if first == i:
+            bucket.append(i)
+        firsts.append(first)
+        masks[first] |= 1 << i
+    return [masks[first] for first in firsts]
 
 
 def _bit_indices(mask: int) -> list[int]:
@@ -148,6 +157,7 @@ class ErrorMatrix:
     errors: np.ndarray       # |P| x N, entries |y_t - yhat_t(i)|
     case_elite: np.ndarray   # length N column minima
     aggregate: np.ndarray    # length |P| row means
+    output_twins: list[int]  # twin_masks of the output rows
 
     @property
     def n_programs(self) -> int:
@@ -165,23 +175,12 @@ class ErrorMatrix:
         return mad(self.errors, axis=0)
 
     @cached_property
-    def _case_major(self) -> np.ndarray:
-        """N x |P| contiguous copy of the errors, one row per case."""
-        return np.ascontiguousarray(self.errors.T)
-
-    @cached_property
     def _elite_masks(self) -> list[int]:
         return _pack_columns(self.errors == self.case_elite[None, :])
 
-    @cached_property
-    def _twin_masks(self) -> list[int]:
-        """Per program, the mask of the programs whose error rows are
-        bitwise equal to its own ("twins"), itself included."""
-        return _twin_masks(self.errors)
-
 
 def build_error_matrix(outputs, targets) -> ErrorMatrix:
-    """Absolute error of every program output vector against the targets."""
+    """Absolute errors of the output vectors against the targets, and their twins."""
     outputs = np.asarray(outputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if outputs.ndim != 2 or outputs.shape[1] != targets.shape[0]:
@@ -192,7 +191,7 @@ def build_error_matrix(outputs, targets) -> ErrorMatrix:
         np.abs(errors, out=errors)
         np.nan_to_num(errors, copy=False, nan=big, posinf=big)
         aggregate = np.nan_to_num(errors.mean(axis=1), nan=big, posinf=big)
-    return ErrorMatrix(errors, errors.min(axis=0), aggregate)
+    return ErrorMatrix(errors, errors.min(axis=0), aggregate, twin_masks(outputs))
 
 
 @dataclass
@@ -210,8 +209,8 @@ class PassMatrix:
     def _twin_masks(self) -> list[int]:
         """Per program, the mask of the programs whose pass rows are equal
         to its own, itself included. The rows are compared packed to bits:
-        byte-per-case keys left the heap 3-8 MB larger at pop 1000."""
-        return _twin_masks(np.packbits(self.passes, axis=1))
+        byte-per-case rows left the heap 3-8 MB larger at pop 1000."""
+        return twin_masks(np.packbits(self.passes, axis=1))
 
 
 def build_pass_matrix(errors: ErrorMatrix, config: SelectionConfig) -> PassMatrix:
@@ -251,16 +250,17 @@ def lexicase_select(errors: ErrorMatrix, passes: PassMatrix | None,
     can lose all passers of a case) but still counts as examined. The rng is
     consumed only for the terminal tie-break.
 
-    On both paths a pool of twins (equal error rows, or equal pass rows with
-    a pass matrix) can never shrink again, so the walk ends there, in the
-    same tie-break and with every case counted as examined.
+    On both paths a pool of twins can never shrink again, so the walk ends
+    there, in the same tie-break and with every case counted as examined.
+    Twins have equal pass rows with a pass matrix, and bitwise equal outputs
+    (``errors.output_twins``) without one.
     """
     n = errors.n_programs
     pool = (1 << n) - 1
     examined = 0
     elite_masks = errors._elite_masks if passes is None else None
     case_masks = passes._case_masks if passes is not None else None
-    twin_masks = (errors if passes is None else passes)._twin_masks
+    twins = errors.output_twins if passes is None else passes._twin_masks
     for t in case_order:
         examined += 1
         if case_masks is not None:
@@ -273,14 +273,14 @@ def lexicase_select(errors: ErrorMatrix, passes: PassMatrix | None,
                 # No population-elite left in the pool: fall back to the
                 # pool-relative minimum on this case.
                 members = np.array(_bit_indices(pool))
-                column = errors._case_major[t, members]
+                column = errors.errors[members, t]
                 survivors = 0
                 for i in members[column == column.min()].tolist():
                     survivors |= 1 << i
         pool = survivors
         if (pool & (pool - 1)) == 0:
             return SelectionEvent(pool.bit_length() - 1, examined, False)
-        if not pool & ~twin_masks[(pool & -pool).bit_length() - 1]:
+        if not pool & ~twins[(pool & -pool).bit_length() - 1]:
             # The pool is one class of twins, which no later case can split:
             # the walk would end in this same tie-break.
             examined = len(case_order)

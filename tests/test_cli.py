@@ -184,6 +184,17 @@ def test_main_rejects_missing_data_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_rejects_duplicate_columns_before_any_output(tmp_path, capsys):
+    data = tmp_path / "dup.csv"
+    data.write_text("x0,y,y\n1,2,3\n4,5,6\n7,8,9\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["--data", str(data), "--target", "y", "--trials", "1",
+                 "--pop", "8", "--gens", "1", "--out", str(out)])
+    assert code == 1
+    assert "duplicate column name 'y'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_happy_path(tmp_path, capsys):
     code = main(["--methods", "rand", "--trials", "1", "--pop", "8", "--gens", "1",
                  "--seed", "2", "--out", str(tmp_path / "o"), "--jobs", "1"])

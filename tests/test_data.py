@@ -43,6 +43,15 @@ def test_load_csv_missing_target_column(tmp_path):
         load_csv(p, target="nope")
 
 
+def test_load_csv_rejects_duplicate_column_names(tmp_path):
+    # the second y would otherwise become a feature next to the target
+    for header in ("x0,y,y", "x0, y,y ", "y,x0,y"):
+        p = write(tmp_path / "dup.csv", f"{header}\n1,2,3\n4,5,6\n")
+        for target in (None, "y"):
+            with pytest.raises(LoadError, match="duplicate column name 'y'"):
+                load_csv(p, target=target)
+
+
 def test_csv_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(size=(17, 3)) * 1e3, rng.normal(size=17) / 7.0)

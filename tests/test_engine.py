@@ -8,7 +8,7 @@ from lexgp.data import generate_uball5d
 from lexgp.engine import (EngineConfig, case_orders, diversity, mae, run_trial,
                           variation_slots)
 from lexgp.expr import Operator
-from lexgp.selection import Method, SelectionConfig
+from lexgp.selection import Method, SelectionConfig, build_error_matrix
 
 ALL_METHODS = list(Method)
 
@@ -87,9 +87,14 @@ def test_case_orders_draw_as_one_permuted_table(n_orders, n_cases):
 
 
 def test_diversity_counts_distinct_output_vectors():
-    assert diversity(np.zeros((4, 3))) == 0.25
-    assert diversity(np.arange(12.0).reshape(4, 3)) == 1.0
-    assert diversity(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])) == pytest.approx(2 / 3)
+    def of(outputs):
+        return diversity(build_error_matrix(outputs, np.zeros(outputs.shape[1])).output_twins)
+
+    assert of(np.zeros((4, 3))) == 0.25
+    assert of(np.arange(12.0).reshape(4, 3)) == 1.0
+    assert of(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])) == pytest.approx(2 / 3)
+    with pytest.raises(ValueError):
+        diversity([])
 
 
 def test_variation_slots_are_exact():

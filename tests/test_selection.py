@@ -1,15 +1,18 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexgp import selection
+from lexgp.engine import diversity
 from lexgp.selection import (EPSILON_METHODS, ErrorMatrix, Method,
-                             SelectionConfig, build_error_matrix,
+                             SelectionConfig, _pack_columns, build_error_matrix,
                              build_pass_matrix, exact_selection_probabilities,
                              lexicase_select, mad, random_select,
-                             tournament_select)
+                             tournament_select, twin_masks)
 
 ALL_LEXICASE = [Method.LEX, Method.LEX_EPS_E, Method.LEX_EPS_Y,
                 Method.LEX_EPS_E_MAD, Method.LEX_EPS_Y_MAD]
@@ -284,8 +287,9 @@ def reference_lexicase(errors, passes, order, rng):
 
 
 def test_twin_masks_group_equal_error_rows():
+    # against a zero target the outputs are the error rows
     em = matrix_from_errors([[1.0, 2.0], [0.0, 2.0], [1.0, 2.0], [1.0, 2.0], [0.0, 2.0]])
-    assert em._twin_masks == [0b01101, 0b10010, 0b01101, 0b01101, 0b10010]
+    assert em.output_twins == [0b01101, 0b10010, 0b01101, 0b01101, 0b10010]
 
 
 def test_pass_twin_masks_group_equal_pass_rows():
@@ -293,6 +297,137 @@ def test_pass_twin_masks_group_equal_pass_rows():
     pm = build_pass_matrix(em, SelectionConfig(method=Method.LEX_EPS_Y, eps_y=0.1))
     # rows 0 and 1 pass case 0 only; rows 2 and 3 differ on case 1
     assert pm._twin_masks == [0b0011, 0b0011, 0b0100, 0b1000]
+
+
+# ------------------------------------------------------------- row grouping
+
+def reference_twin_masks(rows):
+    """The dict-of-bytes grouping: one key per row, holding all its bytes."""
+    keys = [row.tobytes() for row in rows]
+    classes = {}
+    for i, key in enumerate(keys):
+        classes[key] = classes.get(key, 0) | (1 << i)
+    return [classes[key] for key in keys]
+
+
+def reference_diversity(outputs):
+    """The set-of-bytes share of distinct output rows."""
+    return len({row.tobytes() for row in outputs}) / len(outputs)
+
+
+def grouped(rows, collide):
+    """twin_masks(rows), with every row hashed to one bucket if ``collide``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if collide:
+            patch.setattr(selection, "hash", lambda data: 0, raising=False)
+        return twin_masks(rows)
+
+
+# zeros of both signs, subnormals, values 1 ulp apart, NaNs of both signs
+# and of two payloads
+TWIN_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, np.nextafter(1.0, 2.0),
+                    np.nextafter(1.0, 0.0), np.inf, np.nan, -np.nan,
+                    float(np.array(0x7FF8000000000001).view(float))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.integers(1, 5), st.booleans(), st.data())
+def test_twin_masks_equal_the_bytes_key_grouping(n, n_cols, collide, data):
+    # few distinct rows, so most rows have exact repeats
+    distinct = data.draw(st.lists(st.lists(st.sampled_from(TWIN_EDGE_VALUES),
+                                           min_size=n_cols, max_size=n_cols),
+                                  min_size=1, max_size=4))
+    rows = np.array([distinct[data.draw(st.integers(0, len(distinct) - 1))]
+                     for _ in range(n)])
+    masks = grouped(rows, collide)
+    assert masks == reference_twin_masks(rows)
+    assert diversity(masks) == reference_diversity(rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.integers(1, 20), st.booleans(), st.data())
+def test_twin_masks_group_packed_pass_rows(n, n_cases, collide, data):
+    passes = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n_cases,
+                                                  max_size=n_cases),
+                                         min_size=n, max_size=n)))
+    rows = np.packbits(passes, axis=1)
+    assert grouped(rows, collide) == reference_twin_masks(rows)
+
+
+def test_twin_masks_keep_signed_zeros_apart():
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+    for collide in (False, True):
+        assert grouped(rows, collide) == [0b101, 0b010, 0b101]
+
+
+def test_pack_columns_match_the_transposed_copy_formula():
+    rng = np.random.default_rng(19)
+    for shape in ((1, 1), (7, 3), (8, 5), (9, 2), (1000, 17)):
+        matrix = rng.random(shape) < 0.5
+        old = np.packbits(matrix.T.astype(np.uint8), axis=1, bitorder="little")
+        assert _pack_columns(matrix) == [int.from_bytes(row.tobytes(), "little")
+                                         for row in old]
+
+
+def test_lexicase_walks_mirrored_outputs_to_the_full_walks_end():
+    # y + d and y - d have equal error rows but unequal outputs: twins for
+    # the errors, not for the grouping; all values are exact in binary
+    y = np.array([1.0, 2.0, 3.0, 4.0])
+    d = np.array([0.5, 0.25, 0.0, 1.0])
+    outputs = np.array([y + d, y - d, y + [0.0, 1.0, 0.0, 2.0],
+                        y - [1.0, 0.0, 0.5, 0.0], y + d, y - [0.5, 0.5, 0.5, 0.5]])
+    em = build_error_matrix(outputs, y)
+    assert em.errors[0].tolist() == em.errors[1].tolist()
+    assert em.output_twins[0] == 0b010001 and em.output_twins[1] == 0b000010
+    mirrored_ties = 0
+    for order in itertools.permutations(range(4)):
+        for seed in range(3):
+            fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            ev = lexicase_select(em, None, order, fast_rng)
+            expected = reference_lexicase(em.errors.tolist(), None, order, slow_rng)
+            assert (ev.index, ev.cases_examined, ev.tie_break) == expected
+            assert fast_rng.random() == slow_rng.random()
+            mirrored_ties += ev.tie_break and ev.index in (0, 1, 4)
+    assert mirrored_ties > 0
+
+
+def coarse_outputs():
+    """1000 x 1024 outputs of four values, so pools often lose every
+    population elite of a case and fall back to the pool minimum; the last
+    100 rows repeat the first 100."""
+    outputs = np.random.default_rng(20).integers(0, 4, size=(1000, 1024)).astype(float)
+    outputs[900:] = outputs[:100]
+    return outputs
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_standard_lexicase_keeps_no_population_sized_copy():
+    em = build_error_matrix(coarse_outputs(), np.zeros(1024))
+    rng = np.random.default_rng(21)
+    orders = rng.permuted(np.tile(np.arange(1024), (300, 1)), axis=1)
+
+    def events():
+        for order in orders:
+            lexicase_select(em, None, order, rng)
+
+    # the errors alone are 8 MB
+    assert traced_peak(events) < 4e6
+
+
+def test_grouping_the_outputs_keeps_no_copy_of_them():
+    outputs = coarse_outputs()
+    masks = []
+    # the outputs alone are 8 MB
+    assert traced_peak(lambda: masks.extend(twin_masks(outputs))) < 1e6
+    assert masks == reference_twin_masks(outputs)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
