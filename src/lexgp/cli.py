@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, generate_uball5d, load_csv, split_normalize
+from .data import Dataset, LoadError, generate_uball5d, load_csv, split_normalize
 from .engine import EngineConfig, run_trial
 from .selection import Method, SelectionConfig
 
@@ -166,9 +166,11 @@ def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
 
     tasks = [(config, dataset, method, trial)
              for method in config.methods for trial in range(config.trials)]
-    jobs = config.jobs or _available_cores()
+    # The fork start method starts every worker at the first submit, so the
+    # pool never asks for more workers than there are tasks.
+    jobs = min(config.jobs or _available_cores(), len(tasks))
     results = []
-    if jobs > 1 and len(tasks) > 1:
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_task, tasks))
     else:
@@ -204,8 +206,16 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError, which ``main``
+    prints as one line, instead of printing the usage block and exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lexgp",
         description="Symbolic-regression GP benchmark runner with lexicase, "
                     "epsilon-lexicase, tournament, random, and age-fitness "
@@ -274,7 +284,8 @@ def main(argv=None) -> int:
         run_experiment(config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # A bad --data file is bad input; it fails before any output exists.
+        return 2 if isinstance(exc, LoadError) else 1
     return 0
 
 

@@ -62,11 +62,17 @@ def load_csv(path, target: str | None = None) -> Dataset:
     The target column is selected by name, defaulting to the last column;
     column names must be distinct after stripping whitespace. Every cell
     must parse as a finite real; violations raise LoadError naming the
-    offending row and column.
+    offending row and column. A file that cannot be read, or is not UTF-8
+    text, raises LoadError naming the path.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise LoadError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise LoadError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import afp as afp_mod
 from .data import SplitDataset
-from .expr import (EvalMemo, OperatorSet, Program, hill_climb_constants,
+from .expr import (EvalMemo, OperatorSet, Program, hill_climb_constants, mae,
                    point_mutation, predict, random_program, subtree_crossover)
 from .selection import (EPSILON_METHODS, LEXICASE_METHODS, Method, SelectionConfig,
                         build_error_matrix, build_pass_matrix, lexicase_select,
@@ -65,20 +65,6 @@ class RunLog:
         records = [replace(r, elapsed_s=0.0) for r in self.records]
         return RunLog(records, self.best_program, self.best_train_mae,
                       self.test_mae, 0.0)
-
-
-def mae(predicted, targets):
-    """Mean absolute error along the last axis: a float for one output
-    vector, one error per row for a matrix of output vectors."""
-    predicted = np.asarray(predicted, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if predicted.shape[-1:] != targets.shape:
-        raise ValueError(f"length mismatch {predicted.shape} vs {targets.shape}")
-    # The absolute value is taken in place: at population scale this keeps
-    # one population-sized temporary instead of two.
-    deviation = predicted - targets
-    np.abs(deviation, out=deviation)
-    return deviation.mean(axis=-1)
 
 
 def diversity(output_twins) -> float:

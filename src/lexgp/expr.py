@@ -204,7 +204,9 @@ class EvalMemo:
         ids, values, columns = self._ids, self._values, self._columns
         if len(ids) + len(nodes) > self.max_ids:
             self.clear()
-        # The scan of _evaluate, with a parallel stack of subtree ids.
+        # Prefix order scanned right to left: operands are on the stack by
+        # the time their operator appears, first pop being the left operand.
+        # A parallel stack holds each operand's subtree id.
         id_stack, stack = [], []
         for node in reversed(nodes):
             if isinstance(node, Operator):
@@ -239,22 +241,18 @@ class EvalMemo:
         return stack.pop()
 
 
-def _evaluate(nodes, X):
-    """Raw output of a prefix node list, every node computed."""
-    stack = []
-    # Prefix order scanned right to left: operands are on the stack by the
-    # time their operator appears, first pop being the left operand.
-    for node in reversed(nodes):
-        if isinstance(node, Operator):
-            if node.arity == 1:
-                stack.append(node.fn(stack.pop()))
-            else:
-                stack.append(node.fn(stack.pop(), stack.pop()))
-        elif isinstance(node, int):
-            stack.append(X[:, node])
-        else:
-            stack.append(node)
-    return stack.pop()
+def mae(predicted, targets):
+    """Mean absolute error along the last axis: a float for one output
+    vector, one error per row for a matrix of output vectors."""
+    predicted = np.asarray(predicted, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    if predicted.shape[-1:] != targets.shape:
+        raise ValueError(f"length mismatch {predicted.shape} vs {targets.shape}")
+    # The absolute value is taken in place: at population scale this keeps
+    # one population-sized temporary instead of two.
+    deviation = predicted - targets
+    np.abs(deviation, out=deviation)
+    return deviation.mean(axis=-1)
 
 
 def predict(program: Program, X, memo: EvalMemo | None = None) -> np.ndarray:
@@ -262,16 +260,19 @@ def predict(program: Program, X, memo: EvalMemo | None = None) -> np.ndarray:
 
     The result is always finite: overflow in an arithmetic chain (and any
     NaN it could spawn) is mapped back into [-VALUE_LIMIT, VALUE_LIMIT].
-    With a memo bound to ``X``, stored subtree outputs are reused and the
-    result is bit-identical; it may then be a read-only array the memo holds.
+    Evaluation always runs through an EvalMemo: the one passed, which must
+    be bound to ``X`` and lets stored subtree outputs be reused, or else a
+    fresh one. The result is the same bits either way, and may be a
+    read-only array that the memo holds.
     """
-    if memo is not None and X is not memo._source and X is not memo.X:
+    if memo is None:
+        memo = EvalMemo(X)
+    elif X is not memo._source and X is not memo.X:
         raise ValueError("the memo is bound to another feature matrix")
-    X = memo.X if memo is not None else np.asarray(X, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = _evaluate(program.nodes, X) if memo is None else memo.evaluate(program.nodes)
+        out = memo.evaluate(program.nodes)
     if np.ndim(out) == 0:
-        out = np.full(X.shape[0], float(out))
+        out = np.full(memo.X.shape[0], float(out))
     else:
         out = np.asarray(out, dtype=float)
     if not np.isfinite(out).all():
@@ -279,27 +280,14 @@ def predict(program: Program, X, memo: EvalMemo | None = None) -> np.ndarray:
     return out
 
 
-def _grow(depth, ops: OperatorSet, rng, out: list, at_root=True):
-    if depth == 0:
-        out.append(ops.random_terminal(rng))
-        return
-    if at_root or rng.random() < 0.5:
+def _random_tree(depth, full: bool, ops: OperatorSet, rng, out: list, at_root=True):
+    if depth > 0 and (full or at_root or rng.random() < 0.5):
         op = DEFAULT_OPERATORS[int(rng.integers(len(DEFAULT_OPERATORS)))]
         out.append(op)
         for _ in range(op.arity):
-            _grow(depth - 1, ops, rng, out, at_root=False)
+            _random_tree(depth - 1, full, ops, rng, out, at_root=False)
     else:
         out.append(ops.random_terminal(rng))
-
-
-def _full(depth, ops: OperatorSet, rng, out: list):
-    if depth == 0:
-        out.append(ops.random_terminal(rng))
-        return
-    op = DEFAULT_OPERATORS[int(rng.integers(len(DEFAULT_OPERATORS)))]
-    out.append(op)
-    for _ in range(op.arity):
-        _full(depth - 1, ops, rng, out)
 
 
 def _ramp_depths(max_size: int) -> list[int]:
@@ -313,7 +301,12 @@ def _ramp_depths(max_size: int) -> list[int]:
 
 def random_program(limits: tuple[int, int], ops: OperatorSet, rng) -> Program:
     """Ramped half-and-half generation with size-limit rejection, giving up
-    after 1000 draws."""
+    after 1000 draws.
+
+    Each draw picks a depth from the ramp, then a fair coin picks a full
+    tree (an operator at every level above that depth) or a grow tree (an
+    operator at the root, and below it an operator or a terminal on a fair
+    coin at each node until the depth is reached)."""
     min_size, max_size = limits
     if min_size < 1 or max_size < min_size:
         raise ValueError(f"bad size limits {limits}")
@@ -321,10 +314,7 @@ def random_program(limits: tuple[int, int], ops: OperatorSet, rng) -> Program:
     for _ in range(1000):
         depth = depths[int(rng.integers(len(depths)))]
         nodes: list = []
-        if rng.random() < 0.5:
-            _full(depth, ops, rng, nodes)
-        else:
-            _grow(depth, ops, rng, nodes)
+        _random_tree(depth, rng.random() < 0.5, ops, rng, nodes)
         if min_size <= len(nodes) <= max_size:
             return Program(nodes, age=0)
     raise ValueError(f"could not generate a program within size limits {limits}")
@@ -378,12 +368,11 @@ def hill_climb_constants(program: Program, X, y, noise_scale: float, rng,
     positions = program.constants()
     if not positions:
         return program
-    y = np.asarray(y, dtype=float)
-    base = float(np.mean(np.abs(predict(program, X, memo) - y)))
+    base = mae(predict(program, X, memo), y)
     nodes = list(program.nodes)
     for i in positions:
         c = nodes[i]
         nodes[i] = float(c + rng.normal(0.0, noise_scale * (1.0 + abs(c))))
     candidate = Program(nodes, age=program.age)
-    trial = float(np.mean(np.abs(predict(candidate, X, memo) - y)))
+    trial = mae(predict(candidate, X, memo), y)
     return candidate if trial < base else program

@@ -103,6 +103,30 @@ def test_default_jobs_counts_usable_cores_not_host_cores(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "lex_trial001.csv").exists()
 
 
+def test_trial_pool_asks_for_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    # fork starts every worker at the first submit, so --jobs 64 with two
+    # trials must ask for two workers, not 64
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("lexgp.cli.ProcessPoolExecutor", SerialPool)
+    run_experiment(tiny_config(tmp_path, jobs=64))
+    assert asked == [2]
+    assert (tmp_path / "out" / "lex_trial001.csv").exists()
+
+
 def test_parse_config_flags_override_file(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
@@ -156,10 +180,13 @@ def test_main_rejects_unknown_problem(capsys):
     ["--methods", "lex_eps_y", "--eps-y", "nan"],
     ["--methods", "lex_eps_e", "--eps-e", "inf"],
     ["--methods", "lex_eps_y", "--eps-y", "inf"],
+    ["--pop", "abc"],
+    ["--no-such-flag", "1"],
 ], ids=["unknown_config_key", "zero_population", "negative_generations",
         "tournament_above_population", "negative_jobs", "zero_jobs",
         "split_without_data", "target_without_data", "problem_with_data",
-        "negative_seed", "nan_eps_e", "nan_eps_y", "inf_eps_e", "inf_eps_y"])
+        "negative_seed", "nan_eps_e", "nan_eps_y", "inf_eps_e", "inf_eps_y",
+        "non_integer_population", "unknown_flag"])
 def test_main_rejects_bad_settings_before_any_output(bad, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("bogus = 1\n", encoding="utf-8")
@@ -179,8 +206,27 @@ def test_main_rejects_missing_data_file(tmp_path, capsys):
     out = tmp_path / "o"
     code = main(["--data", str(tmp_path / "absent.csv"), "--trials", "1",
                  "--pop", "8", "--gens", "1", "--out", str(out)])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "absent.csv" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_main_rejects_unreadable_data_before_any_output(kind, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    if kind == "directory":
+        data.mkdir()
+    else:
+        data.write_bytes(b"x0,y\n1,\xff\n")
+    out = tmp_path / "o"
+    code = main(["--data", str(data), "--trials", "1",
+                 "--pop", "8", "--gens", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(data) in err
     assert not out.exists()
 
 
@@ -190,8 +236,10 @@ def test_main_rejects_duplicate_columns_before_any_output(tmp_path, capsys):
     out = tmp_path / "o"
     code = main(["--data", str(data), "--target", "y", "--trials", "1",
                  "--pop", "8", "--gens", "1", "--out", str(out)])
-    assert code == 1
-    assert "duplicate column name 'y'" in capsys.readouterr().err
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "duplicate column name 'y'" in err
     assert not out.exists()
 
 

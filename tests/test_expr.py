@@ -126,6 +126,32 @@ def test_div_and_log_match_their_reference_formulas():
                 assert got.shape == want.shape == () and got.tobytes() == want.tobytes()
 
 
+def reference_evaluate(nodes, X):
+    """A program's output with every node computed by a plain stack scan,
+    then predict's finite mapping: the bit-for-bit reference for predict."""
+    X = np.asarray(X, dtype=float)
+    stack = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for node in reversed(nodes):
+            if isinstance(node, expr.Operator):
+                if node.arity == 1:
+                    stack.append(node.fn(stack.pop()))
+                else:
+                    stack.append(node.fn(stack.pop(), stack.pop()))
+            elif isinstance(node, int):
+                stack.append(X[:, node])
+            else:
+                stack.append(node)
+    out = stack.pop()
+    if np.ndim(out) == 0:
+        out = np.full(X.shape[0], float(out))
+    else:
+        out = np.asarray(out, dtype=float)
+    if not np.isfinite(out).all():
+        out = np.nan_to_num(out, nan=0.0, posinf=expr.VALUE_LIMIT, neginf=-expr.VALUE_LIMIT)
+    return out
+
+
 def memo_sequence(rng, ops):
     """Programs in the order a generation meets them: random programs,
     crossover children and mutants of earlier ones, and hill-climb
@@ -156,13 +182,15 @@ def memo_sequence(rng, ops):
        st.sampled_from([0, 3, expr.MEMO_VECTORS]), st.sampled_from([60, expr.MEMO_IDS]))
 def test_memo_predict_bit_equals_plain_predict(seed, rows, vectors, max_ids):
     # one memo across the whole sequence; small budgets force evictions
-    # and clears of the id table
+    # and clears of the id table; without a memo, predict makes a fresh one
     rng = np.random.default_rng(seed)
     X = np.array(rows)
     with mock.patch.multiple(expr, MEMO_VECTORS=vectors, MEMO_IDS=max_ids):
         memo = EvalMemo(X)
     for p in memo_sequence(rng, OperatorSet(3)):
-        assert predict(p, X, memo).tobytes() == predict(p, X).tobytes(), str(p)
+        want = reference_evaluate(p.nodes, X).tobytes()
+        assert predict(p, X, memo).tobytes() == want, str(p)
+        assert predict(p, X).tobytes() == want, str(p)
         assert memo.nbytes <= memo.max_bytes and len(memo._ids) <= memo.max_ids
 
 
@@ -260,6 +288,71 @@ def test_random_program_tight_limit_forces_binary_root():
         assert p.nodes[0].arity == 2
         assert not isinstance(p.nodes[1], type(p.nodes[0]))
         assert p.age == 0
+
+
+def reference_grow(depth, ops, rng, out, at_root=True):
+    """The grow builder as first written."""
+    if depth == 0:
+        out.append(ops.random_terminal(rng))
+        return
+    if at_root or rng.random() < 0.5:
+        op = DEFAULT_OPERATORS[int(rng.integers(len(DEFAULT_OPERATORS)))]
+        out.append(op)
+        for _ in range(op.arity):
+            reference_grow(depth - 1, ops, rng, out, at_root=False)
+    else:
+        out.append(ops.random_terminal(rng))
+
+
+def reference_full(depth, ops, rng, out):
+    """The full builder as first written."""
+    if depth == 0:
+        out.append(ops.random_terminal(rng))
+        return
+    op = DEFAULT_OPERATORS[int(rng.integers(len(DEFAULT_OPERATORS)))]
+    out.append(op)
+    for _ in range(op.arity):
+        reference_full(depth - 1, ops, rng, out)
+
+
+def reference_random_program(limits, ops, rng):
+    """Ramped half-and-half over the two builders: the reference for
+    random_program's nodes and rng draws."""
+    min_size, max_size = limits
+    depths = expr._ramp_depths(max_size)
+    for _ in range(1000):
+        depth = depths[int(rng.integers(len(depths)))]
+        nodes = []
+        if rng.random() < 0.5:
+            reference_full(depth, ops, rng, nodes)
+        else:
+            reference_grow(depth, ops, rng, nodes)
+        if min_size <= len(nodes) <= max_size:
+            return Program(nodes, age=0)
+    raise ValueError(f"could not generate a program within size limits {limits}")
+
+
+def typed_nodes(program):
+    # 1 == 1.0, so a feature index and a constant are told apart by type
+    return [(type(node), node) for node in program.nodes]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 1), (3, 3), (3, 7), (3, 50)]),
+       st.integers(1, 4))
+def test_random_program_draws_as_the_reference_builders(seed, limits, n_features):
+    # (1, 1) fits no tree, (3, 3) forces a binary root over two terminals
+    ops = OperatorSet(n_features, (-3.0, 3.0))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        try:
+            want = reference_random_program(limits, ops, ref_rng)
+        except ValueError:
+            with pytest.raises(ValueError, match="within size limits"):
+                random_program(limits, ops, rng)
+        else:
+            assert typed_nodes(random_program(limits, ops, rng)) == typed_nodes(want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_random_program_is_seed_deterministic():
