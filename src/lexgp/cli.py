@@ -8,7 +8,7 @@ import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +30,10 @@ class ExperimentConfig:
     methods: list[Method] = field(default_factory=lambda: [Method.LEX])
     trials: int = 30
     seed: int = 0
-    population: int = 1000
-    generations: int = 1000
-    eps_e: float = 5.0
-    eps_y: float = 0.10
+    population: int = EngineConfig.population_size
+    generations: int = EngineConfig.generations
+    eps_e: float = SelectionConfig.eps_e
+    eps_y: float = SelectionConfig.eps_y
     split: float = 0.7
     out: str = "runs"
     jobs: int | None = None
@@ -53,6 +53,8 @@ class ExperimentConfig:
         if self.data is None and self.problem != "uball5d":
             raise ValueError(f"unknown problem {self.problem!r}; "
                              "built-in problems: uball5d")
+        if self.target is not None and self.data is None:
+            raise ValueError("--target applies only to --data")
         # Engine settings fail here, before any output exists, not mid-run.
         for method in self.methods:
             _engine_config(self, method)
@@ -193,8 +195,10 @@ def run_experiment(config: ExperimentConfig) -> list[SummaryRow]:
     return summary
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values = {}
+def _read_config_file(path: str) -> list[str]:
+    """One ``--key=value`` token per ``key = value`` line, for the same parser
+    as the command line; underscores in a key become dashes."""
+    tokens = []
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -202,8 +206,8 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
+        tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return tokens
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,24 +218,31 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _method_list(text: str) -> list[str]:
+    return [m.strip() for m in text.split(",") if m.strip()]
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser for flags and config-file lines; it lists only given settings."""
     parser = _Parser(
         prog="lexgp",
         description="Symbolic-regression GP benchmark runner with lexicase, "
                     "epsilon-lexicase, tournament, random, and age-fitness "
-                    "Pareto methods.")
+                    "Pareto methods.",
+        allow_abbrev=False, argument_default=argparse.SUPPRESS)
     parser.add_argument("--config", help="key=value config file; flags take precedence")
     parser.add_argument("--problem", help="built-in problem name (default: uball5d)")
     parser.add_argument("--data", help="CSV file to use instead of a built-in problem")
     parser.add_argument("--target", help="target column name (default: last column)")
-    parser.add_argument("--methods", help="comma-separated method list, e.g. "
-                                          "lex,lex_eps_e_mad,tourn,rand,afp")
+    parser.add_argument("--methods", type=_method_list,
+                        help="comma-separated method list, e.g. "
+                             "lex,lex_eps_e_mad,tourn,rand,afp")
     parser.add_argument("--trials", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--pop", type=int, dest="population")
-    parser.add_argument("--gens", type=int, dest="generations")
-    parser.add_argument("--eps-e", type=float, dest="eps_e")
-    parser.add_argument("--eps-y", type=float, dest="eps_y")
+    parser.add_argument("--pop", "--population", type=int, dest="population")
+    parser.add_argument("--gens", "--generations", type=int, dest="generations")
+    parser.add_argument("--eps-e", type=float)
+    parser.add_argument("--eps-y", type=float)
     parser.add_argument("--split", type=float,
                         help="training share of the --data CSV (default: 0.7)")
     parser.add_argument("--out", help="output directory (default: runs)")
@@ -240,35 +251,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FIELD_TYPES = {"trials": int, "seed": int, "population": int, "generations": int,
-                "eps_e": float, "eps_y": float, "split": float, "jobs": int}
-_FILE_KEYS = {"pop": "population", "gens": "generations"}
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
-
-
 def parse_config(argv=None) -> ExperimentConfig:
-    args = build_parser().parse_args(argv)
-    values: dict = {}
-    if args.config:
-        for key, raw in _read_config_file(args.config).items():
-            key = _FILE_KEYS.get(key, key).replace("-", "_")
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{args.config}: unknown config key {key!r}")
-            if key == "methods":
-                values[key] = [m.strip() for m in raw.split(",") if m.strip()]
-            else:
-                values[key] = _FIELD_TYPES.get(key, str)(raw)
-    for key in ("problem", "data", "target", "trials", "seed", "population",
-                "generations", "eps_e", "eps_y", "split", "out", "jobs"):
-        flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
-    if args.methods is not None:
-        values["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
-    # The built-in problem has a fixed train/test split and target.
-    for key in ("split", "target"):
-        if key in values and values.get("data") is None:
-            raise ValueError(f"--{key} applies only to --data")
+    parser = build_parser()
+    values = vars(parser.parse_args(argv))
+    path = values.pop("config", None)
+    if path is not None:
+        tokens = _read_config_file(path)
+        try:
+            from_file = vars(parser.parse_args(tokens))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if "config" in from_file:
+            raise ValueError(f"{path}: a config file cannot name another config file")
+        values = {**from_file, **values}
+    # The built-in problem has a fixed train/test split.
+    if "split" in values and values.get("data") is None:
+        raise ValueError("--split applies only to --data")
     if "problem" in values and values.get("data") is not None:
         raise ValueError("--problem and --data exclude each other")
     return ExperimentConfig(**values)

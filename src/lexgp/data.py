@@ -62,20 +62,22 @@ def load_csv(path, target: str | None = None) -> Dataset:
     The target column is selected by name, defaulting to the last column;
     column names must be distinct after stripping whitespace. Every cell
     must parse as a finite real; violations raise LoadError naming the
-    offending row and column. A file that cannot be read, or is not UTF-8
-    text, raises LoadError naming the path.
+    offending row by its line in the file, and its column. Empty lines are
+    skipped and a leading UTF-8 byte-order mark is dropped. A file that
+    cannot be read, or is not UTF-8 text, raises LoadError naming the path.
     """
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise LoadError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise LoadError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise LoadError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     seen = set()
     for name in header:
         if name in seen:
@@ -93,7 +95,7 @@ def load_csv(path, target: str | None = None) -> Dataset:
         target_idx = header.index(target)
 
     values = np.empty((len(rows) - 1, len(header)), dtype=float)
-    for r, row in enumerate(rows[1:], start=2):
+    for i, (r, row) in enumerate(rows[1:]):
         if len(row) != len(header):
             raise LoadError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
         for c, cell in enumerate(row):
@@ -105,7 +107,7 @@ def load_csv(path, target: str | None = None) -> Dataset:
                 ) from None
             if not math.isfinite(v):
                 raise LoadError(f"{path}: row {r}, column {header[c]!r}: non-finite value {cell!r}")
-            values[r - 2, c] = v
+            values[i, c] = v
     if values.shape[0] == 0:
         raise LoadError(f"{path}: no data rows")
 

@@ -1,9 +1,14 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lexgp.cli import (ExperimentConfig, TrialResult, emit_summary, main,
+import lexgp
+from lexgp.cli import (ExperimentConfig, TrialResult, build_parser, emit_summary, main,
                        parse_config, run_experiment)
 from lexgp.data import Dataset, load_csv, save_csv
 from lexgp.selection import Method
@@ -153,6 +158,76 @@ def test_parse_config_defaults_follow_benchmark_settings():
     assert config.split == 0.7
 
 
+def test_parse_config_file_takes_long_keys_and_flags_override_them(tmp_path):
+    cfg_file = tmp_path / "long.cfg"
+    cfg_file.write_text("population = 30\ngenerations = 4\neps_e = 2.5\neps-y = 0.5\n",
+                        encoding="utf-8")
+    config = parse_config(["--config", str(cfg_file)])
+    assert (config.population, config.generations) == (30, 4)
+    assert (config.eps_e, config.eps_y) == (2.5, 0.5)
+    config = parse_config(["--config", str(cfg_file), "--gens", "6", "--eps-e", "1.5",
+                           "--population", "12", "--eps-y", "0.25"])
+    assert (config.population, config.generations) == (12, 6)
+    assert (config.eps_e, config.eps_y) == (1.5, 0.25)
+
+
+@pytest.mark.parametrize("text, names", [
+    ("pop = abc\n", [": argument --pop", "'abc'"]),
+    ("config = other.cfg\n", [": a config file cannot name another"]),
+    ("tri = 1\n", [": unrecognized arguments: --tri=1"]),
+    ("# comment\npop = 8\ntrials 1\n", [":3: expected key=value, got 'trials 1'"]),
+], ids=["non_integer_population", "nested_config", "abbreviated_key", "line_without_equals"])
+def test_config_file_errors_name_the_file_before_any_output(text, names, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["--config", str(cfg), "--pop", "8", "--gens", "1", "--trials", "1",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}") and err.count("\n") == 1
+    for name in names:
+        assert name in err
+    assert not out.exists()
+
+
+def test_parser_lists_only_given_settings():
+    assert vars(build_parser().parse_args([])) == {}
+    assert vars(build_parser().parse_args(["--methods", "lex, tourn,", "--pop", "5"])) == {
+        "methods": ["lex", "tourn"], "population": 5}
+
+
+def test_experiment_config_rejects_target_without_data():
+    with pytest.raises(ValueError, match="--target applies only to --data"):
+        ExperimentConfig(target="y")
+
+
+def run_module(*args):
+    env = dict(os.environ)
+    src = str(Path(lexgp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "lexgp", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_help_lists_every_flag():
+    done = run_module("--help")
+    assert done.returncode == 0
+    for flag in ["--config", "--problem", "--data", "--target", "--methods", "--trials",
+                 "--seed", "--pop", "--population", "--gens", "--generations", "--eps-e",
+                 "--eps-y", "--split", "--out", "--jobs"]:
+        assert flag in done.stdout
+
+
+def test_module_entry_point_rejects_abbreviated_flag(tmp_path):
+    # a small run, so that a regression fails fast on the exit code
+    done = run_module("--pop", "8", "--gens", "1", "--tri", "1", "--out", str(tmp_path / "o"))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_rejects_unknown_method(capsys):
     code = main(["--methods", "not_a_method", "--trials", "1"])
     assert code == 2
@@ -182,11 +257,12 @@ def test_main_rejects_unknown_problem(capsys):
     ["--methods", "lex_eps_y", "--eps-y", "inf"],
     ["--pop", "abc"],
     ["--no-such-flag", "1"],
+    ["--tri", "1"],
 ], ids=["unknown_config_key", "zero_population", "negative_generations",
         "tournament_above_population", "negative_jobs", "zero_jobs",
         "split_without_data", "target_without_data", "problem_with_data",
         "negative_seed", "nan_eps_e", "nan_eps_y", "inf_eps_e", "inf_eps_y",
-        "non_integer_population", "unknown_flag"])
+        "non_integer_population", "unknown_flag", "abbreviated_flag"])
 def test_main_rejects_bad_settings_before_any_output(bad, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("bogus = 1\n", encoding="utf-8")

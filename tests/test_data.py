@@ -52,6 +52,45 @@ def test_load_csv_rejects_duplicate_column_names(tmp_path):
                 load_csv(p, target=target)
 
 
+def test_load_csv_drops_utf8_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a BOM
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbfx0,y\n1,2\n3,4\n")
+    ds = load_csv(p, target="x0")
+    np.testing.assert_array_equal(ds.X, [[2], [4]])
+    np.testing.assert_array_equal(ds.y, [1, 3])
+
+
+def test_load_csv_with_bom_still_rejects_non_utf8(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"\xef\xbb\xbfx0,y\n1,\xff\n")
+    with pytest.raises(LoadError, match="latin1.csv: not UTF-8"):
+        load_csv(p)
+
+
+def test_load_csv_skips_blank_lines_and_keeps_line_numbers(tmp_path):
+    p = write(tmp_path / "gaps.csv", "\na,b\n1,2\n\n3,4\n\n")
+    ds = load_csv(p)
+    np.testing.assert_array_equal(ds.X, [[1], [3]])
+    np.testing.assert_array_equal(ds.y, [2, 4])
+    # the bad cell sits on line 6 of the file, the third row after the header
+    p = write(tmp_path / "gaps.csv", "a,b\n1,2\n\n3,4\n\nx,6\n")
+    with pytest.raises(LoadError, match=r"row 6, column 'a'"):
+        load_csv(p)
+
+
+def test_load_csv_rejects_short_row_after_blank_line(tmp_path):
+    p = write(tmp_path / "short.csv", "a,b\n1,2\n\n3\n")
+    with pytest.raises(LoadError, match=r"short.csv: row 4 has 1 cells, expected 2"):
+        load_csv(p)
+
+
+def test_load_csv_rejects_file_of_blank_lines(tmp_path):
+    p = write(tmp_path / "blank.csv", "\n\n\n")
+    with pytest.raises(LoadError, match="empty file"):
+        load_csv(p)
+
+
 def test_csv_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(size=(17, 3)) * 1e3, rng.normal(size=17) / 7.0)
