@@ -7,9 +7,9 @@ injected by Pareto rank over the (age, training MAE) objectives, both
 minimized.
 
 Survival over n candidates costs O(n log n) time for SPEA2 strength and raw
-fitness, which are exact integer dominance counts and sums taken by a
-Fenwick-tree sweep (Jensen, IEEE TEC 2003), and O(n^2) time but O(256 n)
-memory for the k-nearest-neighbor density, taken in blocks of 256 rows.
+fitness, exact integer dominance counts and sums from a Fenwick-tree sweep
+(Jensen, IEEE TEC 2003), plus O(m n) time and O(256 n) memory for the k-NN
+density of the m members of the raw-fitness level the capacity cut falls in.
 Crowding truncation builds distances among the nondominated candidates only.
 """
 
@@ -100,19 +100,16 @@ def strength_raw(points) -> tuple[np.ndarray, np.ndarray]:
     return strength.astype(float), raw.astype(float)
 
 
-def _scores(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SPEA2 raw fitness (0 iff nondominated) and k-NN density in (0, 1);
-    raw + density < 1 exactly for nondominated points."""
-    _, raw = strength_raw(points)
-    n = points.shape[0]
-    k = min(int(np.sqrt(n)), n - 1) if n > 1 else 0
+def _density(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """SPEA2 k-NN density in (0, 0.5] of the candidates ``rows``, from their
+    distances to the whole pool on the whole pool's normalized coordinates."""
+    k = min(int(np.sqrt(len(points))), len(points) - 1)
     scaled = _normalized(points)
-    sigma_k = np.empty(n)
-    for start in range(0, n, _DENSITY_ROWS):
-        block = _distances(scaled[start:start + _DENSITY_ROWS], scaled)
+    sigma_k = np.empty(len(rows))
+    for start in range(0, len(rows), _DENSITY_ROWS):
+        block = _distances(scaled[rows[start:start + _DENSITY_ROWS]], scaled)
         sigma_k[start:start + _DENSITY_ROWS] = np.partition(block, k, axis=1)[:, k]
-    density = 1.0 / (sigma_k + 2.0)
-    return raw, density
+    return 1.0 / (sigma_k + 2.0)
 
 
 def _truncate(indices: list[int], dist: np.ndarray, capacity: int) -> list[int]:
@@ -144,7 +141,7 @@ def environmental_select(points, capacity: int) -> list[int]:
     n = points.shape[0]
     if n <= capacity:
         return list(range(n))
-    raw, density = _scores(points)
+    _, raw = strength_raw(points)
 
     nondominated = np.flatnonzero(raw == 0.0)
     if nondominated.shape[0] > capacity:
@@ -152,10 +149,12 @@ def environmental_select(points, capacity: int) -> list[int]:
         kept = _truncate(list(range(front.shape[0])), _distances(front, front), capacity)
         chosen = nondominated[kept]
     else:
-        dominated = np.flatnonzero(raw > 0.0)
-        total = raw[dominated] + density[dominated]
-        dominated = dominated[np.argsort(total, kind="stable")]
-        chosen = np.concatenate([nondominated, dominated[:capacity - nondominated.shape[0]]])
+        cut = np.sort(raw)[capacity]  # raw + density keeps whole raw levels apart
+        level = np.flatnonzero(raw == cut)
+        short = capacity - np.count_nonzero(raw < cut)
+        if short:  # the cut falls inside the level: lowest raw + density, ties by index
+            level = level[np.argsort(cut + _density(points, level), kind="stable")]
+        chosen = np.concatenate([np.flatnonzero(raw < cut), level[:short]])
     return sorted(chosen.tolist())
 
 

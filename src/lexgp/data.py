@@ -62,15 +62,15 @@ def load_csv(path, target: str | None = None) -> Dataset:
     The target column is selected by name, defaulting to the last column;
     column names must be distinct after stripping whitespace. Every cell
     must parse as a finite real; violations raise LoadError naming the
-    offending row by its line in the file, and its column. Empty lines are
-    skipped and a leading UTF-8 byte-order mark is dropped. A file that
-    cannot be read, or is not UTF-8 text, raises LoadError naming the path.
+    offending row by its line in the file, and its column. Empty and
+    whitespace-only lines are skipped, a leading UTF-8 BOM is dropped, and
+    an unreadable or non-UTF-8 file raises LoadError naming the path.
     """
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            rows = [(reader.line_num, row) for row in reader if row]
+            rows = [(reader.line_num, row) for row in reader if ",".join(row).strip()]
     except OSError as exc:
         raise LoadError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

@@ -52,6 +52,11 @@ def reference_scores(points):
     return raw, 1.0 / (sigma_k + 2.0)
 
 
+def scores(points):
+    """Raw fitness and the density of every row, as reference_scores gives them."""
+    return strength_raw(points)[1], afp._density(points, np.arange(points.shape[0]))
+
+
 def reference_select(points, capacity):
     """Survivors with scores and truncation distances over the whole pool."""
     n = points.shape[0]
@@ -98,8 +103,28 @@ def test_scores_equal_the_reference_bit_for_bit(pool):
     points, _ = pool
     for fast, slow in zip(strength_raw(points), reference_strength_raw(points)):
         assert fast.tobytes() == slow.tobytes()
-    for fast, slow in zip(afp._scores(points), reference_scores(points)):
+    for fast, slow in zip(scores(points), reference_scores(points)):
         assert fast.tobytes() == slow.tobytes()
+
+
+@PROPERTY
+@given(pools(), st.data())
+def test_density_of_any_rows_equals_the_reference_bit_for_bit(pool, data):
+    points, _ = pool
+    rows = data.draw(st.lists(st.integers(0, points.shape[0] - 1), unique=True))
+    rows = np.array(rows, dtype=int)
+    _, density = reference_scores(points)
+    assert afp._density(points, rows).tobytes() == density[rows].tobytes()
+
+
+def test_density_of_rows_across_blocks_equals_the_reference_bit_for_bit():
+    rng = np.random.default_rng(3)
+    n = 600  # more rows than two density blocks
+    points = np.column_stack([rng.integers(0, 9, n).astype(float),
+                              rng.uniform(size=n).round(2)])
+    rows = rng.permutation(n)[:520]
+    _, density = reference_scores(points)
+    assert afp._density(points, rows).tobytes() == density[rows].tobytes()
 
 
 @PROPERTY
@@ -116,6 +141,84 @@ def test_truncation_distances_use_the_whole_pool_normalization():
     ages = np.arange(5.0)
     points = np.vstack([np.column_stack([ages, 4 / (ages + 1)]), [4.0, 4 / 5 + 8]])
     assert environmental_select(points, 3) == reference_select(points, 3) == [0, 2, 4]
+
+
+# Raw levels: row 0 at 0, rows 1-4 at 8, rows 5 and 7 at 13, row 6 at 14 and
+# row 8 at 21. Rows 2 and 3 share a density; rows 1, 2 and 4 differ.
+LEVELS = np.array([(0, 0.0), (1, 0.8), (2, 0.6), (3, 0.4), (4, 0.2),
+                   (2, 0.9), (3, 0.7), (4, 0.5), (5, 1.0)])
+
+
+@pytest.mark.parametrize("capacity, survivors", [
+    (2, [0, 4]),  # inside the raw-8 level: its least crowded member, the last row
+    (3, [0, 1, 4]),  # inside the raw-8 level, by density rather than by index
+    (5, [0, 1, 2, 3, 4]),  # exactly at the raw-8 level's end
+    (6, [0, 1, 2, 3, 4, 5]),  # inside the raw-13 level: equal densities go by index
+    (7, [0, 1, 2, 3, 4, 5, 7]),  # exactly at the raw-13 level's end, before row 6
+])
+def test_cut_level_survivors_equal_the_reference(capacity, survivors):
+    raw, density = reference_scores(LEVELS)
+    assert raw.tolist() == [0, 8, 8, 8, 8, 13, 14, 13, 21]
+    assert len({density[1], density[2], density[4]}) == 3 and density[2] == density[3]
+    assert environmental_select(LEVELS, capacity) == reference_select(LEVELS, capacity) == survivors
+
+
+def test_cut_level_totals_that_round_equal_go_to_the_lower_index():
+    # (1, 0.3) dominates every other row; rows 1 and 3 make up the raw-4 level.
+    # Row 3 is the less crowded, but 4 + density rounds equal for both, so the
+    # single open slot goes to row 1.
+    points = np.array([(3, 0.7), (1, 0.8999999999999999), (1, 0.9), (3, 0.3), (1, 0.3)])
+    raw, density = reference_scores(points)
+    assert raw[1] == raw[3] == 4.0
+    assert density[3] < density[1] and 4.0 + density[3] == 4.0 + density[1]
+    assert environmental_select(points, 2) == reference_select(points, 2) == [1, 4]
+
+
+def test_environmental_select_sweep_equals_the_reference(monkeypatch):
+    levels_read = []
+    real_density = afp._density
+
+    def recording_density(points, rows):
+        levels_read.append(rows.shape[0])
+        return real_density(points, rows)
+
+    monkeypatch.setattr(afp, "_density", recording_density)
+    rng = np.random.default_rng(24)
+    inside_a_level = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 41))
+        capacity = int(rng.integers(1, n + 1))
+        # few distinct ages and MAEs, so raw levels often hold several rows
+        points = np.column_stack([rng.integers(0, rng.integers(1, 9), n).astype(float),
+                                  rng.integers(0, rng.integers(1, 11), n) / 8])
+        calls = len(levels_read)
+        assert environmental_select(points, capacity) == reference_select(points, capacity)
+        inside_a_level += len(levels_read) > calls
+    assert inside_a_level >= 50
+
+
+def test_density_reads_only_the_level_the_cut_falls_in(monkeypatch):
+    rng = np.random.default_rng(0)
+    n = 4001
+    points = np.column_stack([rng.integers(0, 12, n).astype(float),
+                              rng.gamma(2.0, 0.3, n).round(1)])
+    levels, starts, sizes = np.unique(np.sort(strength_raw(points)[1]),
+                                      return_index=True, return_counts=True)
+    widest = int(np.argmax(sizes[1:])) + 1  # the widest level of dominated rows
+    start, m = int(starts[widest]), int(sizes[widest])
+    assert m >= 2
+    rows_read = []
+    real_distances = afp._distances
+
+    def recording_distances(rows, cols):
+        rows_read.append(rows.shape[0])
+        return real_distances(rows, cols)
+
+    monkeypatch.setattr(afp, "_distances", recording_distances)
+    assert len(environmental_select(points, start)) == start  # cut at a level boundary
+    assert sum(rows_read) == 0
+    assert len(environmental_select(points, start + 1)) == start + 1  # cut inside the level
+    assert sum(rows_read) == m
 
 
 def test_survival_memory_stays_below_half_a_pairwise_matrix():
@@ -163,7 +266,7 @@ def test_spea2_total_below_one_iff_nondominated():
         n = int(rng.integers(1, 25))
         points = np.column_stack([rng.integers(0, 6, n).astype(float),
                                   rng.uniform(size=n).round(2)])
-        raw, density = afp._scores(points)
+        raw, density = scores(points)
         total = raw + density
         nondominated = brute_force_nondominated([tuple(p) for p in points])
         for i in range(n):
@@ -203,7 +306,7 @@ def test_environmental_select_capacity_exact_and_pareto_consistent():
         chosen = environmental_select(np.asarray(points, dtype=float), cap)
         assert len(chosen) == cap
         assert chosen == sorted(set(chosen))
-        _, density = afp._scores(np.asarray(points, dtype=float))
+        _, density = scores(np.asarray(points, dtype=float))
         assert ((0.0 < density) & (density < 1.0)).all()
         nondominated = brute_force_nondominated(points)
         kept_flags = [i in chosen for i in range(n)]

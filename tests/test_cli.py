@@ -319,6 +319,17 @@ def test_main_rejects_duplicate_columns_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_runs_on_data_with_whitespace_only_lines(tmp_path, capsys):
+    data = tmp_path / "spaces.csv"
+    rows = "".join(f"{x},{2 * x + 1}\n" for x in range(20))
+    data.write_text(f"x0,y\n{rows}   \n\t\n", encoding="utf-8")
+    code = main(["--data", str(data), "--methods", "rand", "--trials", "1", "--pop", "8",
+                 "--gens", "1", "--seed", "2", "--out", str(tmp_path / "o"), "--jobs", "1"])
+    assert code == 0
+    assert "error:" not in capsys.readouterr().err
+    assert (tmp_path / "o" / "summary.csv").exists()
+
+
 def test_main_happy_path(tmp_path, capsys):
     code = main(["--methods", "rand", "--trials", "1", "--pop", "8", "--gens", "1",
                  "--seed", "2", "--out", str(tmp_path / "o"), "--jobs", "1"])

@@ -85,6 +85,29 @@ def test_load_csv_rejects_short_row_after_blank_line(tmp_path):
         load_csv(p)
 
 
+def test_load_csv_skips_whitespace_only_lines_and_keeps_line_numbers(tmp_path):
+    # a hand-edited file's trailing spaces
+    ds = load_csv(write(tmp_path / "spaces.csv", "a,b\n1,2\n   \n"))
+    np.testing.assert_array_equal(ds.X, [[1]])
+    np.testing.assert_array_equal(ds.y, [2])
+    ds = load_csv(write(tmp_path / "spaces.csv", " \na,b\n1,2\n\t\n3,4\n  \t \n"))
+    np.testing.assert_array_equal(ds.X, [[1], [3]])
+    np.testing.assert_array_equal(ds.y, [2, 4])
+    p = write(tmp_path / "spaces.csv", "a,b\n1,2\n   \nx,6\n")
+    with pytest.raises(LoadError, match=r"row 4, column 'a'"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n1,2\n,,\n", r"row 3 has 3 cells, expected 2"),
+    ("a,b\n1,2\n,\n", r"row 3, column 'a': cannot parse ''"),
+    ("a,b,c\n1,2,3\n \n , ,\n", r"row 4, column 'a': cannot parse ' '"),
+])
+def test_load_csv_rejects_row_of_empty_cells(text, message, tmp_path):
+    with pytest.raises(LoadError, match=message):
+        load_csv(write(tmp_path / "empty_cells.csv", text))
+
+
 def test_load_csv_rejects_file_of_blank_lines(tmp_path):
     p = write(tmp_path / "blank.csv", "\n\n\n")
     with pytest.raises(LoadError, match="empty file"):
