@@ -10,7 +10,9 @@ Survival over n candidates costs O(n log n) time for SPEA2 strength and raw
 fitness, exact integer dominance counts and sums from a Fenwick-tree sweep
 (Jensen, IEEE TEC 2003), plus O(m n) time and O(256 n) memory for the k-NN
 density of the m members of the raw-fitness level the capacity cut falls in.
-Crowding truncation builds distances among the nondominated candidates only.
+Crowding truncation builds distances among the nondominated candidates only,
+sorts each candidate's distances once and keeps them sorted through every
+removal.
 """
 
 from __future__ import annotations
@@ -112,21 +114,39 @@ def _density(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return 1.0 / (sigma_k + 2.0)
 
 
-def _truncate(indices: list[int], dist: np.ndarray, capacity: int) -> list[int]:
-    """SPEA2 truncation: repeatedly drop the candidate crowding its nearest
-    neighbor most, breaking ties by farther neighbors, then by index."""
-    alive = list(indices)
-    while len(alive) > capacity:
-        sub = dist[np.ix_(alive, alive)]
-        np.fill_diagonal(sub, np.inf)
-        nearest = sub.min(axis=1)
-        tied = np.flatnonzero(nearest == nearest.min())
-        if tied.shape[0] > 1:
-            ordered = np.sort(sub[tied], axis=1)
-            drop = tied[min(range(tied.shape[0]), key=lambda r: tuple(ordered[r]))]
-        else:
-            drop = tied[0]
-        del alive[int(drop)]
+def _truncate(dist: np.ndarray, capacity: int) -> np.ndarray:
+    """SPEA2 truncation of the candidates whose pairwise distances are the
+    square ``dist``: repeatedly drop the candidate crowding its nearest
+    neighbor most, breaking ties by farther neighbors, then by lower index.
+    Returns the ascending rows of the ``capacity`` kept candidates.
+
+    Each living candidate's distances to the living ones (its own, set to
+    inf in ``dist``, last) are sorted once and kept sorted: a removal drops
+    the removed candidate's row and one value from every other row.
+    """
+    np.fill_diagonal(dist, np.inf)
+    alive = np.arange(dist.shape[0])
+    ranked = np.sort(dist, axis=1)
+    while alive.shape[0] > capacity:
+        tied = np.flatnonzero(ranked[:, 0] == ranked[:, 0].min())
+        while tied.shape[0] > 1:
+            # The tied rows agree up to their first differing column; the
+            # rows smallest there stay tied.
+            rows = ranked[tied]
+            differ = (rows != rows[0]).any(axis=0)
+            if not differ.any():
+                break
+            column = rows[:, int(differ.argmax())]
+            tied = tied[column == column.min()]
+        drop = int(tied[0])
+        # Every other row loses its distance to the dropped candidate: the
+        # first copy of that value in the sorted row.
+        gone = dist[alive, alive[drop]]
+        keep = np.ones(ranked.shape, dtype=bool)
+        keep[drop] = False
+        keep[np.arange(alive.shape[0]), (ranked < gone[:, None]).sum(axis=1)] = False
+        alive = np.delete(alive, drop)
+        ranked = ranked[keep].reshape(alive.shape[0], alive.shape[0])
     return alive
 
 
@@ -146,8 +166,7 @@ def environmental_select(points, capacity: int) -> list[int]:
     nondominated = np.flatnonzero(raw == 0.0)
     if nondominated.shape[0] > capacity:
         front = _normalized(points)[nondominated]
-        kept = _truncate(list(range(front.shape[0])), _distances(front, front), capacity)
-        chosen = nondominated[kept]
+        chosen = nondominated[_truncate(_distances(front, front), capacity)]
     else:
         cut = np.sort(raw)[capacity]  # raw + density keeps whole raw levels apart
         level = np.flatnonzero(raw == cut)

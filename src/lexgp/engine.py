@@ -82,7 +82,8 @@ def variation_slots(n_children: int, crossover_fraction: float) -> tuple[int, in
 
 
 # Case orders are shuffled this many rows at a time: int64 rows shuffle
-# faster than narrow ones, and each block is narrowed as it is stored.
+# faster than narrow ones, and each block, shuffled in place in one reused
+# buffer, is narrowed as it is stored.
 ORDER_BLOCK = 128
 
 
@@ -92,9 +93,11 @@ def case_orders(n_orders: int, n_cases: int, rng) -> np.ndarray:
     stored as ``np.min_scalar_type(n_cases)`` (uint16 at 1024 cases)."""
     orders = np.empty((n_orders, n_cases), dtype=np.min_scalar_type(n_cases))
     cases = np.arange(n_cases)
+    buffer = np.empty((min(ORDER_BLOCK, n_orders), n_cases), dtype=cases.dtype)
     for start in range(0, n_orders, ORDER_BLOCK):
-        rows = min(ORDER_BLOCK, n_orders - start)
-        orders[start:start + rows] = rng.permuted(np.tile(cases, (rows, 1)), axis=1)
+        block = buffer[:n_orders - start]
+        block[:] = cases
+        orders[start:start + block.shape[0]] = rng.permuted(block, axis=1, out=block)
     return orders
 
 
@@ -103,6 +106,35 @@ def _predict_population(population, X, memo: EvalMemo) -> np.ndarray:
     for i, program in enumerate(population):
         out[i] = predict(program, X, memo)
     return out
+
+
+def _parent_picker(selection: SelectionConfig, errors, n_picks: int, rng):
+    """The generation's parent pick, one per call: lexicase over pre-drawn
+    case orders, a tournament, or a uniform pick for rand and afp. The pass
+    matrix and the case orders live only in the returned closure."""
+    method = selection.method
+    if method in LEXICASE_METHODS:
+        passes = (build_pass_matrix(errors, selection)
+                  if method in EPSILON_METHODS else None)
+        orders = iter(case_orders(n_picks, errors.n_cases, rng))
+        return lambda: lexicase_select(errors, passes, next(orders), rng)
+    if method is Method.TOURNAMENT:
+        return lambda: tournament_select(errors.aggregate, TOURNAMENT_SIZE, rng,
+                                         errors.n_cases)
+    return lambda: random_select(errors.n_programs, rng)
+
+
+def _gather_survivors(outputs: np.ndarray, child_outputs: np.ndarray, keep) -> None:
+    """Overwrite the parents' ``outputs`` with the rows of the survivors
+    ``keep``, ascending pool indices that count the parents first and then
+    the children. Ascending order moves each parent row to the same or a
+    lower row, never over one still to be read, so no temporary is needed."""
+    n_parents = outputs.shape[0]
+    for row, source in enumerate(keep.tolist()):
+        if source < n_parents:
+            outputs[row] = outputs[source]
+        else:
+            outputs[row] = child_outputs[source - n_parents]
 
 
 def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
@@ -123,23 +155,33 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
     next generation, and each child is evaluated right after its hill climb,
     so it reuses the subtree outputs the climb just computed. Evaluation
     draws nothing from the rng.
+
+    A generation holds at most two |P| x N float matrices at once, plus
+    fixed-size extras: the case orders, the pass matrix, the EvalMemo and
+    AFP's distance blocks. Once the error matrix is built, every method but
+    AFP keeps only the best parent's output row, for elitism. Selection
+    ends when the last child is bred; the error matrix, the pass matrix and
+    the case orders are freed there, before the children are evaluated.
+    AFP writes its survivors' rows into the parents' matrix, and the
+    children's MAEs are taken a block of rows at a time.
     """
     start = time.perf_counter()
     X_train, y_train = split.train.X, split.train.y
     n_cases = X_train.shape[0]
     pop_size = config.population_size
-    method = config.selection.method
-    afp = method is Method.AFP
+    afp = config.selection.method is Method.AFP
     ops = OperatorSet(split.train.n_features)
     n_cross, n_mut = variation_slots(pop_size, CROSSOVER_FRACTION)
 
     population = [random_program(SIZE_LIMITS, ops, rng) for _ in range(pop_size)]
     outputs = _predict_population(population, X_train, EvalMemo(X_train))
 
-    def breed(select, events):
+    def breed(select):
         """A full population of children via the crossover/mutation mix,
-        constants tuned, plus AFP's injected program, with their training
-        outputs; each parent pick is recorded in ``events``."""
+        constants not yet tuned, and the selection event behind each
+        parent pick."""
+        events = []
+
         def parent():
             events.append(select())
             return population[events[-1].index]
@@ -147,6 +189,11 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
         children = [subtree_crossover(parent(), parent(), SIZE_LIMITS, rng)
                     for _ in range(n_cross)]
         children += [point_mutation(parent(), ops, rng) for _ in range(n_mut)]
+        return children, events
+
+    def tune_and_evaluate(children):
+        """The children with their constants tuned, plus AFP's injected
+        program, and their training outputs."""
         memo = EvalMemo(X_train)
         child_outputs = np.empty((len(children) + afp, n_cases))
         for i, child in enumerate(children):
@@ -162,53 +209,40 @@ def run_trial(config: EngineConfig, split: SplitDataset, rng) -> RunLog:
     for gen in range(config.generations):
         gen_start = time.perf_counter()
         errors = build_error_matrix(outputs, y_train)
-        best_idx = int(np.argmin(errors.aggregate))
-        best_mae = float(errors.aggregate[best_idx])
+        parent_maes = errors.aggregate
+        best_idx = int(np.argmin(parent_maes))
+        best_mae = float(parent_maes[best_idx])
         unique_fraction = diversity(errors.output_twins)
+        elite, elite_output = population[best_idx], outputs[best_idx].copy()
+        if not afp:
+            del outputs  # only AFP's survival reads the parents' rows again
 
-        # One parent pick per call: lexicase over pre-drawn case orders, a
-        # tournament, or a uniform pick for rand and afp.
-        if method in LEXICASE_METHODS:
-            passes = (build_pass_matrix(errors, config.selection)
-                      if method in EPSILON_METHODS else None)
-            orders = iter(case_orders(2 * n_cross + n_mut, n_cases, rng))
-            select = lambda: lexicase_select(errors, passes, next(orders), rng)
-        elif method is Method.TOURNAMENT:
-            select = lambda: tournament_select(errors.aggregate, TOURNAMENT_SIZE, rng, n_cases)
-        else:
-            select = lambda: random_select(pop_size, rng)
-        events = []
-        next_population, next_outputs = breed(select, events)
-        maes = mae(next_outputs, y_train)
+        select = _parent_picker(config.selection, errors, 2 * n_cross + n_mut, rng)
+        children, events = breed(select)
+        del errors, select  # selection ends here
+        children, child_outputs = tune_and_evaluate(children)
+        maes = mae(child_outputs, y_train)
 
         if afp:
-            maes = np.concatenate([errors.aggregate, maes])
-            # The error matrix is not needed past this point: free it
-            # before survival.
-            del errors
-            keep, next_population = afp_mod.afp_generation(
-                population + next_population, maes, pop_size)
+            maes = np.concatenate([parent_maes, maes])
+            keep, population = afp_mod.afp_generation(population + children, maes,
+                                                      pop_size)
             maes = maes[keep]
-            # keep is ascending, so surviving parents come first. Filling one
-            # part at a time holds a single temporary gather.
-            n_parents = int(np.searchsorted(keep, pop_size))
-            survivors = np.empty_like(outputs)
-            survivors[:n_parents] = outputs[keep[:n_parents]]
-            survivors[n_parents:] = next_outputs[keep[n_parents:] - pop_size]
-            next_outputs = survivors
+            _gather_survivors(outputs, child_outputs, keep)
+        else:
+            population, outputs = children, child_outputs
+        del children, child_outputs  # AFP's children's matrix goes here
 
         if float(maes.min()) > best_mae:
             worst = int(np.argmax(maes))
-            elite = population[best_idx]
-            next_population[worst] = replace(elite, age=elite.age + 1) if afp else elite
-            next_outputs[worst] = outputs[best_idx]
+            population[worst] = replace(elite, age=elite.age + 1) if afp else elite
+            outputs[worst] = elite_output
 
-        if len(next_population) != pop_size:
-            raise RuntimeError(f"population size drifted to {len(next_population)}")
+        if len(population) != pop_size:
+            raise RuntimeError(f"population size drifted to {len(population)}")
         median_cases = float(np.median([ev.cases_examined for ev in events]))
         records.append(GenerationRecord(gen, best_mae, unique_fraction, median_cases,
                                         time.perf_counter() - gen_start))
-        population, outputs = next_population, next_outputs
 
     final_maes = mae(outputs, y_train)
     best_idx = int(np.argmin(final_maes))

@@ -241,15 +241,31 @@ class EvalMemo:
         return stack.pop()
 
 
+# Rows of an output matrix that ``mae`` takes at once, so its temporary has a
+# fixed size rather than the matrix's.
+MAE_ROWS = 64
+
+
 def mae(predicted, targets):
     """Mean absolute error along the last axis: a float for one output
-    vector, one error per row for a matrix of output vectors."""
+    vector, one error per row for a matrix of output vectors, taken MAE_ROWS
+    rows at a time."""
     predicted = np.asarray(predicted, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if predicted.shape[-1:] != targets.shape:
         raise ValueError(f"length mismatch {predicted.shape} vs {targets.shape}")
-    # The absolute value is taken in place: at population scale this keeps
-    # one population-sized temporary instead of two.
+    if predicted.ndim != 2:
+        return _mean_abs_deviation(predicted, targets)
+    out = np.empty(predicted.shape[0])
+    for start in range(0, predicted.shape[0], MAE_ROWS):
+        out[start:start + MAE_ROWS] = _mean_abs_deviation(
+            predicted[start:start + MAE_ROWS], targets)
+    return out
+
+
+def _mean_abs_deviation(predicted, targets):
+    # The absolute value is taken in place, so only one temporary of the
+    # block's size is held.
     deviation = predicted - targets
     np.abs(deviation, out=deviation)
     return deviation.mean(axis=-1)
@@ -370,9 +386,12 @@ def hill_climb_constants(program: Program, X, y, noise_scale: float, rng,
         return program
     base = mae(predict(program, X, memo), y)
     nodes = list(program.nodes)
-    for i in positions:
+    # One standard normal per constant, in program order, from one call:
+    # the draws and the arithmetic of rng.normal(0.0, scale) per constant,
+    # without its per-call cost.
+    for i, z in zip(positions, rng.standard_normal(len(positions)).tolist()):
         c = nodes[i]
-        nodes[i] = float(c + rng.normal(0.0, noise_scale * (1.0 + abs(c))))
+        nodes[i] = c + noise_scale * (1.0 + abs(c)) * z
     candidate = Program(nodes, age=program.age)
     trial = mae(predict(candidate, X, memo), y)
     return candidate if trial < base else program

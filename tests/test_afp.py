@@ -27,8 +27,9 @@ def brute_force_nondominated(points):
 
 # ------------------------------------------------- O(n^2) reference survival
 
-def reference_distances(points):
-    scaled = afp._normalized(points)
+def reference_distances(points, rows=slice(None)):
+    """Distances among ``rows`` on the whole pool's normalized coordinates."""
+    scaled = afp._normalized(points)[rows]
     diff = scaled[:, None, :] - scaled[None, :, :]
     return np.sqrt((diff ** 2).sum(axis=2))
 
@@ -57,20 +58,34 @@ def scores(points):
     return strength_raw(points)[1], afp._density(points, np.arange(points.shape[0]))
 
 
+def reference_truncate(dist, capacity):
+    """SPEA2 truncation from scratch on every removal: the candidate whose
+    sorted distances to the other living ones are lexicographically
+    smallest goes, the lowest index among full ties."""
+    alive = list(range(dist.shape[0]))
+    while len(alive) > capacity:
+        sub = dist[np.ix_(alive, alive)]
+        np.fill_diagonal(sub, np.inf)
+        ordered = np.sort(sub, axis=1)
+        # lexsort is stable and takes its last key as the primary one
+        del alive[int(np.lexsort(ordered.T[::-1])[0])]
+    return alive
+
+
 def reference_select(points, capacity):
     """Survivors with scores and truncation distances over the whole pool."""
     n = points.shape[0]
     if n <= capacity:
         return list(range(n))
-    raw, density = reference_scores(points)
-    total = raw + density
+    _, raw = reference_strength_raw(points)
     nondominated = [i for i in range(n) if raw[i] == 0.0]
     if len(nondominated) > capacity:
-        chosen = afp._truncate(nondominated, reference_distances(points), capacity)
-    else:
-        dominated = sorted((i for i in range(n) if raw[i] > 0.0), key=lambda i: total[i])
-        chosen = nondominated + dominated[:capacity - len(nondominated)]
-    return sorted(chosen)
+        kept = reference_truncate(reference_distances(points, nondominated), capacity)
+        return [nondominated[i] for i in kept]
+    _, density = reference_scores(points)
+    total = raw + density
+    dominated = sorted((i for i in range(n) if raw[i] > 0.0), key=lambda i: total[i])
+    return sorted(nondominated + dominated[:capacity - len(nondominated)])
 
 
 @st.composite
@@ -132,6 +147,29 @@ def test_density_of_rows_across_blocks_equals_the_reference_bit_for_bit():
 def test_environmental_select_equals_the_reference(pool):
     points, capacity = pool
     assert environmental_select(points, capacity) == reference_select(points, capacity)
+
+
+@PROPERTY
+@given(st.integers(2, 30), st.integers(1, 4), st.data())
+def test_truncate_equals_the_reference(m, grid, data):
+    # points on a coarse grid, so equal nearest and farther distances abound
+    coords = st.integers(0, grid).map(lambda v: v / grid)
+    points = np.array(data.draw(st.lists(st.tuples(coords, coords), min_size=m, max_size=m)))
+    capacity = data.draw(st.integers(1, m))
+    dist = reference_distances(points)
+    assert afp._truncate(dist.copy(), capacity).tolist() == reference_truncate(dist, capacity)
+
+
+def test_truncating_a_front_of_identical_points_equals_the_reference():
+    # 1200 identical front points among 2001 candidates: every distance on
+    # the front is 0, so each of the 200 removals is a full tie
+    rng = np.random.default_rng(25)
+    front = np.tile([0.0, 0.25], (1200, 1))
+    dominated = np.column_stack([rng.integers(1, 9, 801).astype(float),
+                                 0.25 + rng.uniform(0.01, 1.0, 801)])
+    points = np.vstack([front, dominated])[rng.permutation(2001)]
+    assert np.count_nonzero(strength_raw(points)[1] == 0.0) == 1200
+    assert environmental_select(points, 1000) == reference_select(points, 1000)
 
 
 def test_truncation_distances_use_the_whole_pool_normalization():

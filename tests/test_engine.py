@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,11 @@ GOLDEN_POP, GOLDEN_GENS = 14, 6
 @pytest.fixture(scope="module")
 def small_split():
     return generate_uball5d(48, 24, np.random.default_rng(1000))
+
+
+@pytest.fixture(scope="module")
+def wide_split():
+    return generate_uball5d(2048, 64, np.random.default_rng(7))
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +90,16 @@ def test_case_orders_draw_as_one_permuted_table(n_orders, n_cases):
     assert orders.dtype == np.min_scalar_type(n_cases)
     np.testing.assert_array_equal(orders, table)
     assert rng_a.random() == rng_b.random()
+
+
+def test_matrix_mae_in_row_blocks_bit_equals_the_whole_matrix_formula():
+    rng = np.random.default_rng(4)
+    n_rows = 2 * expr.MAE_ROWS + 13  # three blocks, the last one short
+    outputs = rng.normal(size=(n_rows, 301)) * 10.0 ** rng.integers(-3, 4, (n_rows, 1))
+    targets = rng.normal(size=301)
+    whole = np.abs(outputs - targets).mean(axis=1)
+    assert mae(outputs, targets).tobytes() == whole.tobytes()
+    assert [mae(row, targets) for row in outputs] == whole.tolist()
 
 
 def test_diversity_counts_distinct_output_vectors():
@@ -240,3 +256,22 @@ def test_run_trial_shares_one_memo_per_generation(method, golden_split, monkeypa
     assert len(runs) == GOLDEN_GENS + 1
     assert len({id(memo) for memo in runs}) == len(runs)
     assert all(memo.X is golden_split.train.X for memo in runs)
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_a_generation_holds_at_most_two_population_matrices(method, wide_split):
+    # The parents' outputs and the error matrix, or the parents' and the
+    # children's outputs, and never more than two such matrices at once.
+    config = EngineConfig(population_size=200, generations=2,
+                          selection=SelectionConfig(method=method))
+    matrix = 200 * wide_split.train.n_rows * 8
+    tracemalloc.start()
+    try:
+        run_trial(config, wide_split, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The memo's budget and 1 MB for the smaller extras: the case orders
+    # (1.5 MB), a shuffle block or MAE block (1 MB), the pass matrix and
+    # AFP's distance blocks.
+    assert peak < 2 * matrix + expr.MEMO_BYTES + 1e6

@@ -208,6 +208,32 @@ def test_hill_climb_with_a_memo_matches_the_plain_climb():
         assert rng_a.random() == rng_b.random()
 
 
+def reference_climb(program, X, y, noise_scale, rng):
+    """The climb with one normal draw per constant, in program order."""
+    positions = program.constants()
+    if not positions:
+        return program
+    nodes = list(program.nodes)
+    for i in positions:
+        c = nodes[i]
+        nodes[i] = float(c + rng.normal(0.0, noise_scale * (1.0 + abs(c))))
+    candidate = Program(nodes, age=program.age)
+    base = np.mean(np.abs(predict(program, X) - y))
+    return candidate if np.mean(np.abs(predict(candidate, X) - y)) < base else program
+
+
+def test_hill_climb_draws_as_one_normal_per_constant():
+    rng = np.random.default_rng(17)
+    ops = OperatorSet(2)
+    X = rng.normal(size=(30, 2))
+    y = rng.normal(size=30)
+    for seed in range(200):
+        p = random_program((3, 40), ops, rng)
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert hill_climb_constants(p, X, y, 0.1, rng_a) == reference_climb(p, X, y, 0.1, rng_b)
+        assert rng_a.random() == rng_b.random()
+
+
 def test_memo_bytes_stay_within_budget():
     rng = np.random.default_rng(16)
     X = rng.normal(size=(64, 3))

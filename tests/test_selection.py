@@ -111,6 +111,47 @@ def test_mad_bit_equals_the_np_median_formula(n_rows, n_cols, with_nan, data):
     assert (bits(v) == bits(before)).all()
 
 
+def test_case_mad_in_column_blocks_bit_equals_the_reference():
+    rng = np.random.default_rng(11)
+    n_cases = 3 * selection.MAD_COLUMNS + 37  # four blocks, the last one short
+    for n in (15, 16):  # odd and even columns
+        # coarse columns are full of ties, fine ones have none
+        errors = np.where(rng.random(n_cases) < 0.5, rng.integers(0, 6, (n, n_cases)) / 4,
+                          rng.uniform(size=(n, n_cases)))
+        em = matrix_from_errors(errors)
+        assert (bits(em.case_mad) == bits(reference_mad(em.errors, axis=0))).all()
+
+
+def reference_error_matrix(outputs, targets):
+    """Errors, case elites and aggregates with nan_to_num over every error."""
+    big = np.finfo(float).max
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = np.nan_to_num(np.abs(outputs - targets[None, :]), nan=big, posinf=big)
+        aggregate = np.nan_to_num(errors.mean(axis=1), nan=big, posinf=big)
+    return errors, errors.min(axis=0), aggregate
+
+
+@pytest.mark.parametrize("extreme", [None, "overflowing mean", "overflowing error",
+                                     "inf output", "nan output"])
+def test_error_matrix_bit_equals_the_reference_formula(extreme):
+    rng = np.random.default_rng(12)
+    outputs = rng.normal(size=(9, 40)) * 10.0 ** rng.integers(-3, 4, (9, 1))
+    targets = rng.normal(size=40)
+    if extreme == "overflowing mean":  # finite errors whose row sum overflows
+        outputs[2] = 1.7e308
+    elif extreme == "overflowing error":
+        outputs[3, 5], targets[5] = 1.7e308, -1.7e308
+    elif extreme == "inf output":
+        outputs[4, 7] = -np.inf
+    elif extreme == "nan output":
+        outputs[5, 1] = np.nan
+    em = build_error_matrix(outputs, targets)
+    for fast, slow in zip((em.errors, em.case_elite, em.aggregate),
+                          reference_error_matrix(outputs, targets)):
+        assert fast.tobytes() == slow.tobytes()
+    assert np.isfinite(em.errors).all() and np.isfinite(em.aggregate).all()
+
+
 def test_error_matrix_guards_against_overflowing_aggregates():
     huge = np.full((2, 3), 1e308)
     em = build_error_matrix(huge, np.full(3, -1e308))
