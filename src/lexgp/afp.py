@@ -11,8 +11,7 @@ fitness, exact integer dominance counts and sums from a Fenwick-tree sweep
 (Jensen, IEEE TEC 2003), plus O(m n) time and O(256 n) memory for the k-NN
 density of the m members of the raw-fitness level the capacity cut falls in.
 Crowding truncation builds distances among the nondominated candidates only,
-sorts each candidate's distances once and keeps them sorted through every
-removal.
+once, and marks each removal in that one matrix.
 """
 
 from __future__ import annotations
@@ -120,34 +119,31 @@ def _truncate(dist: np.ndarray, capacity: int) -> np.ndarray:
     neighbor most, breaking ties by farther neighbors, then by lower index.
     Returns the ascending rows of the ``capacity`` kept candidates.
 
-    Each living candidate's distances to the living ones (its own, set to
-    inf in ``dist``, last) are sorted once and kept sorted: a removal drops
-    the removed candidate's row and one value from every other row.
+    ``dist`` is updated in place rather than copied per removal: a dropped
+    candidate's row and column become inf, so it is never nearest again and
+    its distances sort after every living one.
     """
     np.fill_diagonal(dist, np.inf)
-    alive = np.arange(dist.shape[0])
-    ranked = np.sort(dist, axis=1)
-    while alive.shape[0] > capacity:
-        tied = np.flatnonzero(ranked[:, 0] == ranked[:, 0].min())
-        while tied.shape[0] > 1:
-            # The tied rows agree up to their first differing column; the
-            # rows smallest there stay tied.
-            rows = ranked[tied]
-            differ = (rows != rows[0]).any(axis=0)
-            if not differ.any():
-                break
-            column = rows[:, int(differ.argmax())]
-            tied = tied[column == column.min()]
-        drop = int(tied[0])
-        # Every other row loses its distance to the dropped candidate: the
-        # first copy of that value in the sorted row.
-        gone = dist[alive, alive[drop]]
-        keep = np.ones(ranked.shape, dtype=bool)
-        keep[drop] = False
-        keep[np.arange(alive.shape[0]), (ranked < gone[:, None]).sum(axis=1)] = False
-        alive = np.delete(alive, drop)
-        ranked = ranked[keep].reshape(alive.shape[0], alive.shape[0])
-    return alive
+    alive = np.ones(dist.shape[0], dtype=bool)
+    for _ in range(dist.shape[0] - capacity):
+        nearest = dist.min(axis=1)
+        tied = np.flatnonzero(nearest == nearest.min())
+        if tied.shape[0] > 1:
+            # The tied sorted rows agree up to their first differing column;
+            # the rows smallest there stay tied.
+            ordered = np.sort(dist[tied], axis=1)
+            while tied.shape[0] > 1:
+                differ = (ordered != ordered[0]).any(axis=0)
+                if not differ.any():
+                    break
+                column = ordered[:, differ.argmax()]
+                smallest = column == column.min()
+                tied, ordered = tied[smallest], ordered[smallest]
+        drop = tied[0]
+        alive[drop] = False
+        dist[drop] = np.inf
+        dist[:, drop] = np.inf
+    return np.flatnonzero(alive)
 
 
 def environmental_select(points, capacity: int) -> list[int]:

@@ -148,10 +148,6 @@ def _bit_indices(mask: int) -> list[int]:
     return out
 
 
-# Cases per block of ``ErrorMatrix.case_mad``.
-MAD_COLUMNS = 128
-
-
 @dataclass
 class ErrorMatrix:
     """Per-generation absolute errors with the column statistics selection
@@ -174,14 +170,9 @@ class ErrorMatrix:
     @cached_property
     def case_mad(self) -> np.ndarray:
         """Length N column MADs, computed on first use: only the MAD-based
-        epsilon methods read them. ``mad`` runs over MAD_COLUMNS columns at
-        a time, so its case-major copy has a fixed number of cases, and
-        leaves ``errors`` as it is."""
-        spread = np.empty(self.n_cases)
-        for start in range(0, self.n_cases, MAD_COLUMNS):
-            spread[start:start + MAD_COLUMNS] = mad(
-                self.errors[:, start:start + MAD_COLUMNS], axis=0)
-        return spread
+        epsilon methods read them. ``mad`` works on a case-major copy, which
+        is not kept, and leaves ``errors`` as it is."""
+        return mad(self.errors, axis=0)
 
     @cached_property
     def _elite_masks(self) -> list[int]:
@@ -198,10 +189,10 @@ def build_error_matrix(outputs, targets) -> ErrorMatrix:
     with np.errstate(over="ignore", invalid="ignore"):
         errors = np.subtract(outputs, targets[None, :])
         np.abs(errors, out=errors)
-        # No error is negative, so the largest is finite exactly when every
-        # error is; only then can nan_to_num be skipped.
-        if not np.isfinite(errors.max(initial=0.0)):
-            np.nan_to_num(errors, copy=False, nan=big, posinf=big)
+        # No error is negative, so fmin, which takes the number over NaN, maps
+        # NaN and inf to big as nan_to_num would, in one pass and without
+        # nan_to_num's three boolean masks.
+        np.fmin(errors, big, out=errors)
         aggregate = np.nan_to_num(errors.mean(axis=1), nan=big, posinf=big)
     return ErrorMatrix(errors, errors.min(axis=0), aggregate, twin_masks(outputs))
 

@@ -160,16 +160,18 @@ def test_truncate_equals_the_reference(m, grid, data):
     assert afp._truncate(dist.copy(), capacity).tolist() == reference_truncate(dist, capacity)
 
 
-def test_truncating_a_front_of_identical_points_equals_the_reference():
+def test_truncating_a_front_of_identical_points_keeps_the_last_front_indices():
     # 1200 identical front points among 2001 candidates: every distance on
-    # the front is 0, so each of the 200 removals is a full tie
+    # the front is 0, so each of the 200 removals is a full tie that drops
+    # the lowest living index
     rng = np.random.default_rng(25)
     front = np.tile([0.0, 0.25], (1200, 1))
     dominated = np.column_stack([rng.integers(1, 9, 801).astype(float),
                                  0.25 + rng.uniform(0.01, 1.0, 801)])
     points = np.vstack([front, dominated])[rng.permutation(2001)]
-    assert np.count_nonzero(strength_raw(points)[1] == 0.0) == 1200
-    assert environmental_select(points, 1000) == reference_select(points, 1000)
+    nondominated = np.flatnonzero(strength_raw(points)[1] == 0.0)
+    assert nondominated.shape[0] == 1200
+    assert environmental_select(points, 1000) == nondominated[200:].tolist()
 
 
 def test_truncation_distances_use_the_whole_pool_normalization():

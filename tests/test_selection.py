@@ -111,17 +111,6 @@ def test_mad_bit_equals_the_np_median_formula(n_rows, n_cols, with_nan, data):
     assert (bits(v) == bits(before)).all()
 
 
-def test_case_mad_in_column_blocks_bit_equals_the_reference():
-    rng = np.random.default_rng(11)
-    n_cases = 3 * selection.MAD_COLUMNS + 37  # four blocks, the last one short
-    for n in (15, 16):  # odd and even columns
-        # coarse columns are full of ties, fine ones have none
-        errors = np.where(rng.random(n_cases) < 0.5, rng.integers(0, 6, (n, n_cases)) / 4,
-                          rng.uniform(size=(n, n_cases)))
-        em = matrix_from_errors(errors)
-        assert (bits(em.case_mad) == bits(reference_mad(em.errors, axis=0))).all()
-
-
 def reference_error_matrix(outputs, targets):
     """Errors, case elites and aggregates with nan_to_num over every error."""
     big = np.finfo(float).max
